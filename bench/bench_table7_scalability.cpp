@@ -8,21 +8,26 @@
 // DeepQueueNet rows report MEASURED wall-clock time: the sharded engine
 // (topology-aware shards + work stealing + double-buffered boundary
 // exchange) genuinely executes across cores, so speedup columns are real on
-// any machine with free cores. engine_stats::projected_wall_seconds — the
-// per-thread-CPU-clock projection the pre-sharded engine reported — survives
-// only as a printf diagnostic to sanity-check the measurement (projected ≈
-// measured when >= `workers` cores are free; on a 1-core box measured wall
-// is flat in workers while the projection still shows the parallel shape).
+// any machine with free cores.
 //
-// `--threads N` runs the CI perf-smoke slice instead: best-of-3 measured
-// wall on the FatTree16 workload at N workers, emitted as one JSON line
-// (with a delivery fingerprint so the gate can assert bit-identical results
-// across thread counts). See .github/workflows/ci.yml perf-smoke.
+// Three flags run one FatTree16 slice of the table instead, each printing
+// one JSON line for the CI perf-smoke gates (.github/workflows/ci.yml):
+//   --threads N        best-of-3 measured wall at N workers, with a delivery
+//                      fingerprint so the gate can assert bit-identical
+//                      results across thread counts;
+//   --tiered-smoke     the tiered-vs-PTM block: both backends on the same
+//                      scenario and engine;
+//   --telemetry-smoke  the telemetry-overhead block: the same run with the
+//                      live telemetry plane off and on.
+// Any other argument is a usage error (exit 2).
 #include "bench/common.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <optional>
+#include <string_view>
 
 #include "baselines/mimicnet.hpp"
 #include "core/delay_provider.hpp"
@@ -54,15 +59,18 @@ std::uint64_t delivery_fingerprint(const des::run_result& result) {
   return hash;
 }
 
-// The CI perf-smoke slice: FatTree16, the paper's execution profile
-// (Algorithm 1 re-infers every device each iteration), best-of-3 measured
-// wall at `threads` workers. One JSON line on stdout.
+bench::scenario fattree16_scenario(double horizon) {
+  return bench::make_scenario_load(topo::make_fattree16(bench::bench_links()),
+                                   traffic::traffic_model::poisson, 0.5,
+                                   horizon, 1000);
+}
+
+// The --threads slice: FatTree16, the paper's execution profile (Algorithm 1
+// re-infers every device each iteration), best-of-3 measured wall at
+// `threads` workers. One JSON line on stdout.
 int run_threads_smoke(std::size_t threads) {
-  const double scale = bench::bench_scale();
   auto ptm = bench::network_model();
-  const auto s = bench::make_scenario_load(
-      topo::make_fattree16(bench::bench_links()),
-      traffic::traffic_model::poisson, 0.5, 0.15 * scale, 1000);
+  const auto s = fattree16_scenario(0.15 * bench::bench_scale());
   core::scheduler_context ctx;
   ctx.bandwidth_bps = bench::bench_link_bps;
   core::engine_config cfg;
@@ -80,24 +88,168 @@ int run_threads_smoke(std::size_t threads) {
   std::printf("{\"threads\":%zu,\"wall_seconds\":%.6f,\"deliveries\":%zu,"
               "\"delivery_fingerprint\":\"%016llx\",\"iterations\":%zu,"
               "\"steals\":%llu,\"cross_shard_links\":%zu,"
-              "\"shard_imbalance\":%.4f,\"projected_wall_seconds\":%.6f}\n",
+              "\"shard_imbalance\":%.4f}\n",
               threads, best_wall, result.deliveries.size(),
               static_cast<unsigned long long>(delivery_fingerprint(result)),
               stats.iterations, static_cast<unsigned long long>(stats.steals),
-              stats.cross_shard_links, stats.shard_imbalance,
-              stats.projected_wall_seconds());
+              stats.cross_shard_links, stats.shard_imbalance);
   return 0;
+}
+
+// Tiered delay backend (core/delay_provider.hpp): pure-PTM versus the tiered
+// analytical/PTM policy on the identical scenario and 4-worker engine. The
+// tiered win is devices skipping DNN inference entirely, which shows up in
+// measured wall time on any machine regardless of core count.
+struct tiered_comparison {
+  double ptm_wall = 0;
+  double tiered_wall = 0;
+  double analytical_fraction = 0;
+  std::size_t ptm_deliveries = 0;
+  std::size_t tiered_deliveries = 0;
+};
+
+tiered_comparison compare_tiered(const bench::scenario& s,
+                                 std::shared_ptr<const core::ptm_model> ptm) {
+  auto context = bench::compare_context(s, std::move(ptm), des::tm_config{},
+                                        /*apply_sec=*/true,
+                                        /*partitions=*/4);
+  tiered_comparison out;
+  const auto measured_wall = [&](des::delay_backend backend,
+                                 std::size_t* deliveries) {
+    context.engine.delay.backend = backend;
+    const auto net = des::make_estimator("deepqueuenet", context);
+    des::run_request request;
+    request.host_streams = &s.streams;
+    request.horizon = s.horizon;
+    *deliveries = net->run(request).deliveries.size();
+    const auto& engine = dynamic_cast<const core::dqn_network&>(*net);
+    if (const auto* tiered = dynamic_cast<const core::tiered_delay_provider*>(
+            &engine.provider());
+        tiered != nullptr)
+      out.analytical_fraction = tiered->stats().analytical_fraction();
+    return engine.stats().wall_seconds;
+  };
+  out.ptm_wall = measured_wall(des::delay_backend::ptm, &out.ptm_deliveries);
+  out.tiered_wall =
+      measured_wall(des::delay_backend::tiered, &out.tiered_deliveries);
+  return out;
+}
+
+// Live-telemetry overhead on the Table-7 workload: the identical FatTree16
+// run with the telemetry plane off and on (25 ms sampler + /metrics endpoint
+// on an ephemeral loopback port, rendered once after the measurement).
+// Best-of-3 walls on both sides, separate sinks, so the only delta is the
+// plane itself.
+struct telemetry_comparison {
+  double off_wall = 0;
+  double on_wall = 0;
+  std::uint64_t samples = 0;
+  bool exposition_ok = false;
+  std::size_t packets = 0;
+  std::size_t deliveries = 0;
+
+  [[nodiscard]] double overhead() const {
+    return off_wall > 0 ? on_wall / off_wall - 1.0 : 0.0;
+  }
+};
+
+telemetry_comparison compare_telemetry(
+    std::shared_ptr<const core::ptm_model> ptm) {
+  const auto s = fattree16_scenario(0.05 * bench::bench_scale());
+  telemetry_comparison out;
+  for (const auto& stream : s.streams) out.packets += stream.size();
+  const auto context = bench::compare_context(s, std::move(ptm),
+                                              des::tm_config{},
+                                              /*apply_sec=*/true,
+                                              /*partitions=*/4);
+  const auto net = des::make_estimator("deepqueuenet", context);
+  des::run_request request;
+  request.host_streams = &s.streams;
+  request.horizon = s.horizon;
+  const auto best_wall = [&](obs::sink* run_sink) {
+    request.sink = run_sink;
+    double best = 0;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto result = net->run(request);
+      out.deliveries = result.deliveries.size();
+      best = rep == 0 ? result.wall_seconds
+                      : std::min(best, result.wall_seconds);
+    }
+    return best;
+  };
+  obs::sink off_sink;
+  out.off_wall = best_wall(&off_sink);
+  obs::sink on_sink;
+  const auto telemetry_cfg = obs::telemetry::telemetry_config{}
+                                 .with_enabled(true)
+                                 .with_sample_period_ms(25)
+                                 .with_metrics_port(0);
+  auto* plane = on_sink.start_telemetry(telemetry_cfg);
+  out.on_wall = best_wall(&on_sink);
+  const std::string exposition = plane->render_metrics();
+  out.exposition_ok =
+      exposition.find("# TYPE engine_deliveries counter") !=
+          std::string::npos &&
+      exposition.find("process_rss_bytes") != std::string::npos;
+  out.samples = plane->sampler().samples();
+  on_sink.stop_telemetry();
+  return out;
+}
+
+int run_tiered_smoke() {
+  const auto s = fattree16_scenario(0.15 * bench::bench_scale());
+  const tiered_comparison t = compare_tiered(s, bench::network_model());
+  std::printf("{\"ptm_wall_seconds\": %.6f, \"tiered_wall_seconds\": %.6f, "
+              "\"analytical_fraction\": %.4f, \"speedup\": %.3f, "
+              "\"ptm_deliveries\": %zu, \"tiered_deliveries\": %zu}\n",
+              t.ptm_wall, t.tiered_wall, t.analytical_fraction,
+              t.tiered_wall > 0 ? t.ptm_wall / t.tiered_wall : 0.0,
+              t.ptm_deliveries, t.tiered_deliveries);
+  return 0;
+}
+
+int run_telemetry_smoke() {
+  const telemetry_comparison t = compare_telemetry(bench::network_model());
+  std::printf("{\"off_wall_seconds\": %.6f, \"on_wall_seconds\": %.6f, "
+              "\"overhead_fraction\": %.4f, \"samples\": %llu, "
+              "\"exposition_ok\": %s, \"deliveries\": %zu}\n",
+              t.off_wall, t.on_wall, t.overhead(),
+              static_cast<unsigned long long>(t.samples),
+              t.exposition_ok ? "true" : "false", t.deliveries);
+  return t.exposition_ok ? 0 : 1;
+}
+
+// A positive decimal worker count with no trailing characters.
+std::optional<std::size_t> parse_threads(const char* text) {
+  if (*text < '0' || *text > '9') return std::nullopt;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || value == 0 || value > 1024) return std::nullopt;
+  return static_cast<std::size_t>(value);
+}
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: bench_table7_scalability "
+               "[--threads N | --tiered-smoke | --telemetry-smoke]\n");
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string{argv[i]} == "--threads" && i + 1 < argc) {
-      const long threads = std::atol(argv[i + 1]);
-      DQN_ENSURE(threads > 0, "bench_table7: --threads must be >= 1");
-      return run_threads_smoke(static_cast<std::size_t>(threads));
-    }
+  if (argc > 3) return usage();
+  if (argc == 3) {
+    if (std::string_view{argv[1]} != "--threads") return usage();
+    const auto threads = parse_threads(argv[2]);
+    if (!threads) return usage();
+    return run_threads_smoke(*threads);
+  }
+  if (argc == 2) {
+    const std::string_view arg{argv[1]};
+    if (arg == "--tiered-smoke") return run_tiered_smoke();
+    if (arg == "--telemetry-smoke") return run_telemetry_smoke();
+    return usage();
   }
 
   std::printf("=== Table 7: inference execution time with parallelization ===\n\n");
@@ -138,9 +290,7 @@ int main(int argc, char** argv) {
 
   // "time" for DeepQueueNet rows is MEASURED wall-clock time of the sharded
   // engine. Speedup columns therefore depend on free cores: near-linear on a
-  // many-core box, flat on a loaded or single-core one (the projected
-  // diagnostic printed alongside shows what a dedicated `workers`-core
-  // machine would observe).
+  // many-core box, flat on a loaded or single-core one.
   util::text_table table{
       {"topology", "method", "#workers", "packets", "time", "speedup"}};
 
@@ -206,11 +356,8 @@ int main(int argc, char** argv) {
       table.add_row({sc.name, "DeepQueueNet", std::to_string(workers), pkts,
                      util::format_duration(seconds), speedup});
       std::printf("[dqn] %-11s workers=%zu: %s measured wall "
-                  "(%s projected, %zu IRSA iterations, %llu steals, "
-                  "imbalance %.3f)\n",
+                  "(%zu IRSA iterations, %llu steals, imbalance %.3f)\n",
                   sc.name, workers, util::format_duration(seconds).c_str(),
-                  util::format_duration(net.stats().projected_wall_seconds())
-                      .c_str(),
                   net.stats().iterations,
                   static_cast<unsigned long long>(net.stats().steals),
                   net.stats().shard_imbalance);
@@ -225,112 +372,48 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Tiered delay backend (core/delay_provider.hpp): pure-PTM versus the
-    // tiered analytical/PTM policy on the identical scenario and engine
-    // configuration. These rows report MEASURED wall time — the tiered win
-    // is devices skipping DNN inference entirely, which shows up on any
-    // machine regardless of core count.
+    // Tiered delay backend versus pure PTM on the same scenario.
     {
-      auto context = bench::compare_context(s, ptm, fifo_tm,
-                                            /*apply_sec=*/true,
-                                            /*partitions=*/4);
-      const auto measured_wall = [&](des::delay_backend backend,
-                                     double* fraction) {
-        context.engine.delay.backend = backend;
-        const auto net = des::make_estimator("deepqueuenet", context);
-        des::run_request request;
-        request.host_streams = &s.streams;
-        request.horizon = sc.horizon;
-        const auto result = net->run(request);
-        (void)result;
-        const auto& engine = dynamic_cast<const core::dqn_network&>(*net);
-        if (fraction != nullptr) {
-          const auto* tiered = dynamic_cast<const core::tiered_delay_provider*>(
-              &engine.provider());
-          *fraction =
-              tiered != nullptr ? tiered->stats().analytical_fraction() : 0.0;
-        }
-        return engine.stats().wall_seconds;
-      };
-      const double ptm_wall = measured_wall(des::delay_backend::ptm, nullptr);
-      double fraction = 0;
-      const double tiered_wall =
-          measured_wall(des::delay_backend::tiered, &fraction);
+      const tiered_comparison t = compare_tiered(s, ptm);
+      const double speedup = t.ptm_wall / t.tiered_wall;
       table.add_row({sc.name, "DQN-tiered", "4", pkts,
-                     util::format_duration(tiered_wall),
-                     util::fmt(ptm_wall / tiered_wall, 2) + "-fold vs ptm"});
+                     util::format_duration(t.tiered_wall),
+                     util::fmt(speedup, 2) + "-fold vs ptm"});
       std::printf("[tiered] %-11s measured: ptm %s, tiered %s (%.2fx), "
                   "analytical fraction %.3f\n",
-                  sc.name, util::format_duration(ptm_wall).c_str(),
-                  util::format_duration(tiered_wall).c_str(),
-                  ptm_wall / tiered_wall, fraction);
+                  sc.name, util::format_duration(t.ptm_wall).c_str(),
+                  util::format_duration(t.tiered_wall).c_str(), speedup,
+                  t.analytical_fraction);
       if (obs::sink* sink = bench::bench_sink(); sink != nullptr) {
-        sink->gauge("table7.tiered_speedup", ptm_wall / tiered_wall);
-        sink->gauge("table7.ptm_wall_seconds", ptm_wall);
-        sink->gauge("table7.tiered_wall_seconds", tiered_wall);
+        sink->gauge("table7.tiered_speedup", speedup);
+        sink->gauge("table7.ptm_wall_seconds", t.ptm_wall);
+        sink->gauge("table7.tiered_wall_seconds", t.tiered_wall);
       }
     }
   }
 
-  // Live-telemetry overhead on the Table-7 workload: the identical
-  // FatTree16 run with the telemetry plane off and on (default 250 ms
-  // sampler + /metrics endpoint on an ephemeral loopback port, scraped once
-  // mid-measurement via the renderer). Best-of-3 walls on both sides; the
-  // ENSURE below is a loose in-bench sanity bound — CI's perf-smoke gate
-  // holds the tight one.
+  // Live-telemetry overhead: the ENSUREs below are loose in-bench sanity
+  // bounds — CI's perf-smoke gate holds the tight one via --telemetry-smoke.
   {
-    const auto s = bench::make_scenario_load(
-        topo::make_fattree16(bench::bench_links()),
-        traffic::traffic_model::poisson, 0.5, 0.05 * scale, 1000);
-    std::size_t packets = 0;
-    for (const auto& stream : s.streams) packets += stream.size();
-    auto context = bench::compare_context(s, ptm, fifo_tm,
-                                          /*apply_sec=*/true,
-                                          /*partitions=*/4);
-    const auto net = des::make_estimator("deepqueuenet", context);
-    des::run_request request;
-    request.host_streams = &s.streams;
-    request.horizon = s.horizon;
-    const auto best_wall = [&](obs::sink* run_sink) {
-      request.sink = run_sink;
-      double best = 0;
-      for (int rep = 0; rep < 3; ++rep) {
-        const auto result = net->run(request);
-        best = rep == 0 ? result.wall_seconds
-                        : std::min(best, result.wall_seconds);
-      }
-      return best;
-    };
-    obs::sink off_sink;
-    const double off_wall = best_wall(&off_sink);
-    obs::sink on_sink;
-    const auto telemetry_cfg = obs::telemetry::telemetry_config{}
-                                   .with_enabled(true)
-                                   .with_metrics_port(0);
-    auto* plane = on_sink.start_telemetry(telemetry_cfg);
-    const double on_wall = best_wall(&on_sink);
-    const std::string exposition = plane->render_metrics();
-    DQN_ENSURE(exposition.find("# TYPE engine_deliveries counter") !=
-                   std::string::npos,
+    const telemetry_comparison t = compare_telemetry(ptm);
+    DQN_ENSURE(t.exposition_ok,
                "table7: /metrics exposition is missing the engine counters");
-    const auto samples = plane->sampler().samples();
-    on_sink.stop_telemetry();
-    const double overhead = off_wall > 0 ? on_wall / off_wall - 1.0 : 0.0;
+    const double overhead = t.overhead();
     std::printf("[telemetry] FatTree16 best-of-3: off %s, on %s "
                 "(overhead %+.2f%%, %llu samples)\n",
-                util::format_duration(off_wall).c_str(),
-                util::format_duration(on_wall).c_str(), overhead * 100.0,
-                static_cast<unsigned long long>(samples));
+                util::format_duration(t.off_wall).c_str(),
+                util::format_duration(t.on_wall).c_str(), overhead * 100.0,
+                static_cast<unsigned long long>(t.samples));
     DQN_ENSURE(overhead < 0.10,
                "table7: telemetry overhead ", overhead,
                " exceeds the 10% in-bench sanity bound");
-    table.add_row({"FatTree16", "DQN+telemetry", "4", std::to_string(packets),
-                   util::format_duration(on_wall),
+    table.add_row({"FatTree16", "DQN+telemetry", "4", std::to_string(t.packets),
+                   util::format_duration(t.on_wall),
                    util::fmt(overhead * 100.0, 2) + "% overhead"});
     if (obs::sink* sink = bench::bench_sink(); sink != nullptr) {
       sink->gauge("table7.telemetry_overhead_fraction", overhead);
-      sink->gauge("table7.telemetry_off_wall_seconds", off_wall);
-      sink->gauge("table7.telemetry_on_wall_seconds", on_wall);
+      sink->gauge("table7.telemetry_off_wall_seconds", t.off_wall);
+      sink->gauge("table7.telemetry_on_wall_seconds", t.on_wall);
     }
   }
 

@@ -21,14 +21,7 @@
 //                          or "fluid" instead of the default engine;
 //   --delay-backend NAME   sojourn backend for DeepQueueNet runs: "ptm"
 //                          (default), "analytical", or "tiered"
-//                          (core/delay_provider.hpp);
-//   --tiered-smoke         self-contained tiered-vs-PTM timing check: trains
-//                          a tiny model, runs the same scenario on both
-//                          backends, prints a one-line JSON summary;
-//   --threads N            engine worker count (sharded work-stealing
-//                          scheduler; default 2). With --json the snapshot
-//                          also carries quickstart.measured_* gauges:
-//                          measured wall at 1 and N workers plus speedup.
+//                          (core/delay_provider.hpp).
 //
 // Live telemetry (obs/telemetry/):
 //   --metrics-port P       start the sink's background sampler and serve
@@ -39,11 +32,10 @@
 //                          SIGTERM/SIGINT, then shut down cleanly (exit 0);
 //   --strict-obs           after the run, fail (exit 3) if observability
 //                          reported data loss — dropped trace events or
-//                          logged contract violations;
-//   --telemetry-smoke      sampler-overhead check: same scenario run with
-//                          telemetry off and on (best of 3 each), one-line
-//                          JSON summary. CI's perf-smoke job gates on the
-//                          overhead fraction.
+//                          logged contract violations.
+//
+// The tiered-vs-PTM, telemetry-overhead and worker-scaling checks live in
+// bench_table7_scalability (--tiered-smoke, --telemetry-smoke, --threads).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -77,17 +69,12 @@ struct profile_options {
 struct estimator_options {
   std::string estimator = "deepqueuenet";
   std::string delay_backend;  // empty = the engine default (ptm)
-  bool tiered_smoke = false;
-  // --threads N: engine worker count (engine_config::with_partitions over
-  // the sharded work-stealing scheduler). 0 = the quickstart default (2).
-  std::size_t threads = 0;
 };
 
 struct telemetry_options {
   int metrics_port = -1;  // -1 = no telemetry plane
   bool serve_hold = false;
   bool strict_obs = false;
-  bool telemetry_smoke = false;
 };
 
 std::sig_atomic_t volatile g_shutdown_requested = 0;
@@ -147,168 +134,12 @@ bool parse_backend(std::string_view name, des::delay_backend* out) {
   return true;
 }
 
-// --tiered-smoke: train a tiny model, run one scenario through the pure-PTM
-// and the tiered backend (best of two runs each, same engine, same sink),
-// and print a machine-readable one-line JSON summary. CI's perf-smoke job
-// gates on analytical_fraction > 0 and tiered_wall <= ptm_wall * 1.10.
-int run_tiered_smoke() {
-  core::dutil_config dutil_cfg;
-  dutil_cfg.ports = 4;
-  dutil_cfg.bandwidth_bps = examples::link_bps;
-  dutil_cfg.streams = 30;
-  dutil_cfg.packets_per_stream = 200;
-  dutil_cfg.ptm.time_steps = 8;
-  dutil_cfg.ptm.mlp_hidden = {24, 12};
-  dutil_cfg.ptm.epochs = 8;
-  dutil_cfg.seed = 7;
-  std::fprintf(stderr, "[tiered-smoke] training a tiny device model...\n");
-  auto bundle = core::train_device_model(dutil_cfg);
-  auto ptm = std::make_shared<const core::ptm_model>(std::move(bundle.model));
-
-  // A 20-device fat-tree at 30% max-link load: most egress queues sit under
-  // the default 0.35 utilization threshold, so the tiered run serves them
-  // analytically and skips their DNN inference.
-  const auto topo = topo::make_fattree16(examples::links());
-  const topo::routing routes{topo};
-  const double horizon = 0.02;
-  const auto traffic_setup = examples::make_traffic_load(
-      topo, routes, traffic::traffic_model::poisson, /*max link load=*/0.3,
-      horizon, 7);
-
-  des::estimator_context context;
-  context.topo = &topo;
-  context.routes = &routes;
-  context.ptm = ptm;
-  context.engine.partitions = 2;
-  const auto net = des::make_estimator("deepqueuenet", context);
-
-  obs::sink sink;
-  des::run_request request;
-  request.host_streams = &traffic_setup.streams;
-  request.horizon = horizon;
-  request.sink = &sink;
-
-  std::size_t ptm_deliveries = 0;
-  std::size_t tiered_deliveries = 0;
-  const auto best_wall = [&](des::delay_backend backend,
-                             std::size_t* deliveries) {
-    des::delay_policy policy;
-    policy.backend = backend;
-    request.delay = policy;
-    double best = 0;
-    for (int rep = 0; rep < 2; ++rep) {
-      const auto result = net->run(request);
-      *deliveries = result.deliveries.size();
-      best = rep == 0 ? result.wall_seconds
-                      : std::min(best, result.wall_seconds);
-    }
-    return best;
-  };
-  std::fprintf(stderr, "[tiered-smoke] running the pure-PTM backend...\n");
-  const double ptm_wall = best_wall(des::delay_backend::ptm, &ptm_deliveries);
-  std::fprintf(stderr, "[tiered-smoke] running the tiered backend...\n");
-  const double tiered_wall =
-      best_wall(des::delay_backend::tiered, &tiered_deliveries);
-  const double fraction =
-      sink.metrics().gauge("tiered.analytical_fraction");
-
-  std::printf("{\"ptm_wall_seconds\": %.6f, \"tiered_wall_seconds\": %.6f, "
-              "\"analytical_fraction\": %.4f, \"speedup\": %.3f, "
-              "\"ptm_deliveries\": %zu, \"tiered_deliveries\": %zu}\n",
-              ptm_wall, tiered_wall, fraction,
-              tiered_wall > 0 ? ptm_wall / tiered_wall : 0.0, ptm_deliveries,
-              tiered_deliveries);
-  return 0;
-}
-
-// --telemetry-smoke: measure what the live telemetry plane costs a run.
-// Trains a tiny model, then runs the same FatTree16 scenario with telemetry
-// off and on (best of 3 each, same estimator, separate sinks so the only
-// delta is the plane itself: 25 ms sampler + bound-but-unscraped endpoint).
-// CI's perf-smoke job gates on overhead_fraction.
-int run_telemetry_smoke() {
-  core::dutil_config dutil_cfg;
-  dutil_cfg.ports = 4;
-  dutil_cfg.bandwidth_bps = examples::link_bps;
-  dutil_cfg.streams = 30;
-  dutil_cfg.packets_per_stream = 200;
-  dutil_cfg.ptm.time_steps = 8;
-  dutil_cfg.ptm.mlp_hidden = {24, 12};
-  dutil_cfg.ptm.epochs = 8;
-  dutil_cfg.seed = 7;
-  std::fprintf(stderr, "[telemetry-smoke] training a tiny device model...\n");
-  auto bundle = core::train_device_model(dutil_cfg);
-  auto ptm = std::make_shared<const core::ptm_model>(std::move(bundle.model));
-
-  const auto topo = topo::make_fattree16(examples::links());
-  const topo::routing routes{topo};
-  const double horizon = 0.02;
-  const auto traffic_setup = examples::make_traffic_load(
-      topo, routes, traffic::traffic_model::poisson, /*max link load=*/0.3,
-      horizon, 7);
-
-  des::estimator_context context;
-  context.topo = &topo;
-  context.routes = &routes;
-  context.ptm = ptm;
-  context.engine.partitions = 2;
-  const auto net = des::make_estimator("deepqueuenet", context);
-
-  des::run_request request;
-  request.host_streams = &traffic_setup.streams;
-  request.horizon = horizon;
-
-  std::size_t deliveries = 0;
-  const auto best_wall = [&](obs::sink* sink) {
-    request.sink = sink;
-    double best = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto result = net->run(request);
-      deliveries = result.deliveries.size();
-      best = rep == 0 ? result.wall_seconds
-                      : std::min(best, result.wall_seconds);
-    }
-    return best;
-  };
-
-  std::fprintf(stderr, "[telemetry-smoke] running with telemetry off...\n");
-  obs::sink off_sink;
-  const double off_wall = best_wall(&off_sink);
-
-  std::fprintf(stderr, "[telemetry-smoke] running with telemetry on...\n");
-  obs::sink on_sink;
-  const auto config = obs::telemetry::telemetry_config{}
-                          .with_enabled(true)
-                          .with_sample_period_ms(25)
-                          .with_metrics_port(0);
-  auto* plane = on_sink.start_telemetry(config);
-  const double on_wall = best_wall(&on_sink);
-
-  const std::uint64_t samples = plane->sampler().samples();
-  const std::string exposition = plane->render_metrics();
-  const bool exposition_ok =
-      exposition.find("# TYPE engine_deliveries counter") != std::string::npos &&
-      exposition.find("process_rss_bytes") != std::string::npos;
-  on_sink.stop_telemetry();
-
-  const double overhead = off_wall > 0 ? on_wall / off_wall - 1.0 : 0.0;
-  std::printf("{\"off_wall_seconds\": %.6f, \"on_wall_seconds\": %.6f, "
-              "\"overhead_fraction\": %.4f, \"samples\": %llu, "
-              "\"exposition_ok\": %s, \"deliveries\": %zu}\n",
-              off_wall, on_wall, overhead,
-              static_cast<unsigned long long>(samples),
-              exposition_ok ? "true" : "false", deliveries);
-  return exposition_ok ? 0 : 1;
-}
-
 // The profile mode (--json / --chrome-trace / --journeys). Deliberately
 // trains a fresh tiny device model (no DLib cache) so the ptm.* per-epoch
 // metrics are always present in the snapshot, then profiles a DeepQueueNet
-// run and the DES oracle on the same scenario through the same sink, and
-// finally measures the sharded engine's wall-clock speedup at `threads`
-// workers versus 1 (quickstart.measured_* gauges in the JSON snapshot).
-// Only the requested documents go to stdout.
-int run_profiled(const profile_options& options, std::size_t threads) {
+// run and the DES oracle on the same scenario through the same sink. Only
+// the requested documents go to stdout.
+int run_profiled(const profile_options& options) {
   obs::sink sink;
   if (options.journeys > 0) sink.journeys().configure(/*sample_rate=*/1.0);
 
@@ -351,40 +182,6 @@ int run_profiled(const profile_options& options, std::size_t threads) {
   std::fprintf(stderr, "[profile] running the DES oracle...\n");
   const auto oracle = des::make_estimator("des", context);
   (void)oracle->run(request);
-
-  // Measured multi-worker speedup (wall clock, not projected): the same
-  // engine and scenario at 1 worker and at `threads` workers, best of 2
-  // each, through run_request::threads. On a single-core machine the ratio
-  // is ~1; CI's perf gate runs the Table-7 bench on a multi-core runner.
-  {
-    const std::size_t workers = threads > 0 ? threads : 2;
-    const auto best_wall = [&](std::size_t n) {
-      request.threads = n;
-      double best = 0;
-      for (int rep = 0; rep < 2; ++rep) {
-        const auto result = net->run(request);
-        best = rep == 0 ? result.wall_seconds
-                        : std::min(best, result.wall_seconds);
-      }
-      return best;
-    };
-    std::fprintf(stderr,
-                 "[profile] measuring wall-clock speedup at %zu workers...\n",
-                 workers);
-    const double single_wall = best_wall(1);
-    const double multi_wall = best_wall(workers);
-    request.threads = 0;
-    sink.gauge("quickstart.threads", static_cast<double>(workers));
-    sink.gauge("quickstart.measured_wall_w1_seconds", single_wall);
-    sink.gauge("quickstart.measured_wall_seconds", multi_wall);
-    sink.gauge("quickstart.measured_speedup",
-               multi_wall > 0 ? single_wall / multi_wall : 0.0);
-    std::fprintf(stderr,
-                 "[profile] measured wall: 1 worker %.4fs, %zu workers %.4fs "
-                 "(%.2fx)\n",
-                 single_wall, workers, multi_wall,
-                 multi_wall > 0 ? single_wall / multi_wall : 0.0);
-  }
 
   if (options.json) {
     const std::string doc = sink.to_json();
@@ -455,15 +252,6 @@ int main(int argc, char** argv) {
       est_options.estimator = argv[++i];
     } else if (arg == "--delay-backend" && i + 1 < argc) {
       est_options.delay_backend = argv[++i];
-    } else if (arg == "--tiered-smoke") {
-      est_options.tiered_smoke = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      est_options.threads = static_cast<std::size_t>(std::strtoull(
-          argv[++i], nullptr, 10));
-      if (est_options.threads == 0) {
-        std::fprintf(stderr, "--threads must be >= 1\n");
-        return 2;
-      }
     } else if (arg == "--metrics-port" && i + 1 < argc) {
       tele_options.metrics_port =
           static_cast<int>(std::strtol(argv[++i], nullptr, 10));
@@ -471,16 +259,12 @@ int main(int argc, char** argv) {
       tele_options.serve_hold = true;
     } else if (arg == "--strict-obs") {
       tele_options.strict_obs = true;
-    } else if (arg == "--telemetry-smoke") {
-      tele_options.telemetry_smoke = true;
     } else {
       std::fprintf(stderr,
                    "usage: quickstart [--json] [--chrome-trace <path>] "
-                   "[--journeys N] [--threads N] "
-                   "[--estimator des|deepqueuenet|fluid] "
-                   "[--delay-backend ptm|analytical|tiered] [--tiered-smoke] "
-                   "[--metrics-port P] [--serve-hold] [--strict-obs] "
-                   "[--telemetry-smoke]\n");
+                   "[--journeys N] [--estimator des|deepqueuenet|fluid] "
+                   "[--delay-backend ptm|analytical|tiered] "
+                   "[--metrics-port P] [--serve-hold] [--strict-obs]\n");
       return 2;
     }
   }
@@ -506,9 +290,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (est_options.tiered_smoke) return run_tiered_smoke();
-  if (tele_options.telemetry_smoke) return run_telemetry_smoke();
-  if (options.any()) return run_profiled(options, est_options.threads);
+  if (options.any()) return run_profiled(options);
 
   std::printf("=== DeepQueueNet quickstart ===\n\n");
 
@@ -540,8 +322,7 @@ int main(int argc, char** argv) {
   context.topo = &topo;
   context.routes = &routes;
   context.ptm = ptm;
-  context.engine.partitions =
-      est_options.threads > 0 ? est_options.threads : 2;
+  context.engine.partitions = 2;
   context.engine.record_hops = true;
   context.engine.delay.backend = backend;
   context.flows = &traffic_setup.flows;

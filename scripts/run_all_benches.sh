@@ -61,8 +61,7 @@ gauge_keys = ["tiered.analytical_fraction", "table7.tiered_speedup",
               "table7.measured_wall_w4", "table7.measured_wall_w8",
               "table7.measured_speedup_w2", "table7.measured_speedup_w4",
               "table7.measured_speedup_w8",
-              "engine.cross_shard_links", "engine.shard_imbalance",
-              "quickstart.measured_speedup"]
+              "engine.cross_shard_links", "engine.shard_imbalance"]
 entry = {
     "bench": bench,
     "wall_seconds": wall,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -51,34 +52,29 @@ ptm_delay_provider::ptm_delay_provider(std::shared_ptr<const ptm_model> ptm)
 }
 
 void ptm_delay_provider::bind_sink(obs::sink* sink) {
-  latency_seconds_ = sink != nullptr
-                         ? sink->histogram_handle_for("delay.ptm_seconds")
-                         : obs::histogram_handle{};
-}
-
-double ptm_delay_provider::warm_cost_hint() const noexcept {
-  // A window prediction is time_steps rows through the transformer + MLP —
-  // orders of magnitude above the analytical backend's table read.
-  return 64.0 * static_cast<double>(ptm_->config().time_steps);
+  predicted_sojourn_ =
+      sink != nullptr
+          ? sink->histogram_handle_for("delay.ptm.predicted_sojourn_seconds")
+          : obs::histogram_handle{};
 }
 
 std::vector<double> ptm_delay_provider::predict_windows(
     std::span<const double> windows, bool apply_sec,
     std::vector<double>* raw_out) const {
-  return ptm_->predict(windows, apply_sec, raw_out);
+  nn::workspace ws;
+  return ptm_->predict(windows, ws, apply_sec, raw_out);
 }
 
 std::vector<double> ptm_delay_provider::estimate_sojourn(
     const device_state& state, double /*window_seconds*/) {
   const auto windows =
       make_windows(state.feature_rows, ptm_->config().time_steps);
-  auto sojourns =
-      state.workspace != nullptr
-          ? ptm_->predict(windows, *state.workspace, state.apply_sec,
-                          state.raw_out)
-          : ptm_->predict(windows, state.apply_sec, state.raw_out);
-  if (latency_seconds_)
-    for (const double s : sojourns) latency_seconds_.observe(s);
+  std::optional<nn::workspace> local;
+  nn::workspace& ws =
+      state.workspace != nullptr ? *state.workspace : local.emplace();
+  auto sojourns = ptm_->predict(windows, ws, state.apply_sec, state.raw_out);
+  if (predicted_sojourn_)
+    for (const double s : sojourns) predicted_sojourn_.observe(s);
   return sojourns;
 }
 
@@ -87,13 +83,11 @@ std::vector<double> ptm_delay_provider::estimate_sojourn(
 // ---------------------------------------------------------------------------
 
 void analytical_delay_provider::bind_sink(obs::sink* sink) {
-  latency_seconds_ =
-      sink != nullptr ? sink->histogram_handle_for("delay.analytical_seconds")
-                      : obs::histogram_handle{};
-}
-
-double analytical_delay_provider::warm_cost_hint() const noexcept {
-  return 1.0;  // one table read per packet
+  predicted_sojourn_ =
+      sink != nullptr
+          ? sink->histogram_handle_for(
+                "delay.analytical.predicted_sojourn_seconds")
+          : obs::histogram_handle{};
 }
 
 std::vector<double> analytical_delay_provider::estimate_sojourn(
@@ -118,8 +112,8 @@ std::vector<double> analytical_delay_provider::estimate_sojourn(
                   "analytical_delay_provider: bad feature wait ", wait);
     sojourns[i] = wait;
   }
-  if (latency_seconds_)
-    for (const double s : sojourns) latency_seconds_.observe(s);
+  if (predicted_sojourn_)
+    for (const double s : sojourns) predicted_sojourn_.observe(s);
   if (state.raw_out != nullptr) *state.raw_out = sojourns;  // no SEC stage
   return sojourns;
 }
@@ -186,14 +180,6 @@ void tiered_delay_provider::prepare(std::size_t device_slots) {
   // Slot 0 is the host-NIC pseudo-device (device id -1); hysteresis and
   // budget state survive across IRSA iterations but not across prepare().
   tiers_.assign(device_slots, device_tier{});
-}
-
-double tiered_delay_provider::warm_cost_hint() const noexcept {
-  const tier_stats s = stats();
-  const std::uint64_t total = s.analytical_packets + s.ptm_packets;
-  if (total == 0) return ptm_.warm_cost_hint();
-  const double f = s.analytical_fraction();
-  return f * analytical_.warm_cost_hint() + (1.0 - f) * ptm_.warm_cost_hint();
 }
 
 tiered_delay_provider::tier tiered_delay_provider::decide(std::size_t slot,

@@ -77,10 +77,6 @@ class delay_provider {
   // Short stable identifier: "ptm", "analytical", "tiered".
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 
-  // Relative steady-state cost per packet (arbitrary units; the tiered
-  // policy and schedulers-of-providers can rank backends by it).
-  [[nodiscard]] virtual double warm_cost_hint() const noexcept = 0;
-
   // Run boundary: resolve lock-free metric handles against `sink` (nullptr
   // detaches). The engine calls this once per run, before any estimates.
   virtual void bind_sink(obs::sink* sink);
@@ -111,12 +107,12 @@ class ptm_delay_provider final : public delay_provider {
   [[nodiscard]] std::vector<double> estimate_sojourn(
       const device_state& state, double window_seconds) override;
   [[nodiscard]] const char* name() const noexcept override { return "ptm"; }
-  [[nodiscard]] double warm_cost_hint() const noexcept override;
   void bind_sink(obs::sink* sink) override;
 
   // Window-level access for model-study code (SEC residual figures, PTM
-  // ablations, attention inspection): same contract as ptm_model::predict,
-  // routed through the provider so the lint rule holds tree-wide.
+  // ablations, attention inspection): same contract as ptm_model::predict
+  // on a fresh workspace, routed through the provider so the lint rule holds
+  // tree-wide.
   [[nodiscard]] std::vector<double> predict_windows(
       std::span<const double> windows, bool apply_sec = true,
       std::vector<double>* raw_out = nullptr) const;
@@ -127,7 +123,7 @@ class ptm_delay_provider final : public delay_provider {
 
  private:
   std::shared_ptr<const ptm_model> ptm_;
-  obs::histogram_handle latency_seconds_;  // delay.ptm_seconds
+  obs::histogram_handle predicted_sojourn_;  // delay.ptm.predicted_sojourn_*
 };
 
 // ---------------------------------------------------------------------------
@@ -146,7 +142,6 @@ class analytical_delay_provider final : public delay_provider {
   [[nodiscard]] const char* name() const noexcept override {
     return "analytical";
   }
-  [[nodiscard]] double warm_cost_hint() const noexcept override;
   void bind_sink(obs::sink* sink) override;
 
   // Stationary per-class mean waits for `ctx`'s discipline at arrival rate
@@ -159,7 +154,8 @@ class analytical_delay_provider final : public delay_provider {
       std::size_t classes = 1, std::size_t truncation_level = 30);
 
  private:
-  obs::histogram_handle latency_seconds_;  // delay.analytical_seconds
+  // delay.analytical.predicted_sojourn_seconds
+  obs::histogram_handle predicted_sojourn_;
 };
 
 // ---------------------------------------------------------------------------
@@ -191,7 +187,6 @@ class tiered_delay_provider final : public delay_provider {
   [[nodiscard]] std::vector<double> estimate_sojourn(
       const device_state& state, double window_seconds) override;
   [[nodiscard]] const char* name() const noexcept override { return "tiered"; }
-  [[nodiscard]] double warm_cost_hint() const noexcept override;
   void bind_sink(obs::sink* sink) override;
   void prepare(std::size_t device_slots) override;
   void publish(obs::sink& sink) override;

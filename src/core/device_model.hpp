@@ -59,7 +59,7 @@ class device_model {
   // `workspace`, if non-null, is the caller-owned inference arena handed to
   // every PTM predict call (one per worker thread; the engine reuses it
   // across devices and IRSA iterations so steady state allocates nothing).
-  // Null falls back to the PTM's thread_local workspace.
+  // Null gives each PTM predict call a fresh local workspace.
   //
   // `delay` selects the sojourn backend (delay_provider.hpp): the engine
   // passes its configured provider; null falls back to this model's own PTM

@@ -215,7 +215,8 @@ device_model_bundle train_device_model(
 
 double evaluate_w1(const ptm_model& model, const ptm_dataset& data, bool apply_sec) {
   DQN_ENSURE(data.count() > 0, "evaluate_w1: empty dataset");
-  const auto predictions = model.predict(data.windows, apply_sec);
+  nn::workspace ws;
+  const auto predictions = model.predict(data.windows, ws, apply_sec);
   return stats::normalized_w1(predictions, data.targets);
 }
 

@@ -245,15 +245,6 @@ training_report ptm_model::train(
 }
 
 std::vector<double> ptm_model::predict(std::span<const double> windows,
-                                       bool apply_sec,
-                                       std::vector<double>* raw_out) const {
-  // One workspace per thread keeps this overload thread-safe (the documented
-  // contract) while still running the zero-allocation forward path.
-  thread_local nn::workspace ws;
-  return predict(windows, ws, apply_sec, raw_out);
-}
-
-std::vector<double> ptm_model::predict(std::span<const double> windows,
                                        nn::workspace& ws, bool apply_sec,
                                        std::vector<double>* raw_out) const {
   if (!trained_) throw std::logic_error{"ptm_model::predict: model not trained"};
@@ -328,7 +319,9 @@ std::vector<nn::matrix> ptm_model::attention_maps(std::span<const double> window
 
 void ptm_model::fit_sec(const ptm_dataset& validation, double eps_fraction,
                         std::size_t min_points) {
-  const auto predictions = predict(validation.windows, /*apply_sec=*/false);
+  nn::workspace ws;
+  const auto predictions =
+      predict(validation.windows, ws, /*apply_sec=*/false);
   // Fit one table per scheduler kind: residual structure is
   // discipline-specific (Figure 6).
   std::array<std::vector<double>, 5> pred_by_kind;

@@ -85,23 +85,17 @@ class ptm_model {
   void fit_sec(const ptm_dataset& validation, double eps_fraction = 0.02,
                std::size_t min_points = 8);
 
-  // Predict sojourn seconds for raw windows; thread-safe (const). SEC is
-  // applied when fitted unless `apply_sec` is false (the §6.1 ablation).
-  // `raw_out`, if non-null, receives the pre-SEC sojourns (same length as
-  // the return value) — the journey tracer reports both so per-packet hops
-  // show what SEC changed. When config().sink is set, predict records
+  // Predict sojourn seconds for raw windows. SEC is applied when fitted
+  // unless `apply_sec` is false (the §6.1 ablation). `raw_out`, if non-null,
+  // receives the pre-SEC sojourns (same length as the return value) — the
+  // journey tracer reports both so per-packet hops show what SEC changed.
+  //
+  // The entire forward pass (scaled windows, layer activations) runs out of
+  // `ws`, so the steady state allocates nothing. The model is const and
+  // shareable; a workspace is not: the engine hands each partition worker
+  // its own, and one-shot callers use a local one. Resets `ws` on entry.
+  // When config().sink is set, records the "nn.workspace_bytes" gauge and
   // "sec.corrections" / "sec.relative_correction" through lock-free handles.
-  [[nodiscard]] std::vector<double> predict(
-      std::span<const double> windows, bool apply_sec = true,
-      std::vector<double>* raw_out = nullptr) const;
-
-  // Workspace-taking predict: the entire forward pass (scaled windows, layer
-  // activations) runs out of `ws`, so the steady state allocates nothing.
-  // The engine hands each partition worker its own workspace; callers that
-  // share one across threads get data races. Resets `ws` on entry. When
-  // config().sink is set, records the "nn.workspace_bytes" gauge through a
-  // pre-resolved handle. The signature-compatible overload above uses a
-  // thread_local workspace, keeping predict thread-safe for existing callers.
   [[nodiscard]] std::vector<double> predict(
       std::span<const double> windows, nn::workspace& ws, bool apply_sec = true,
       std::vector<double>* raw_out = nullptr) const;

@@ -103,8 +103,9 @@ TEST(dlib, store_fetch_roundtrip_preserves_predictions) {
   ASSERT_TRUE(lib.contains(key));
   const auto loaded = lib.fetch(key);
   const auto& validation = shared_bundle().validation;
-  const auto before = shared_bundle().model.predict(validation.windows);
-  const auto after = loaded.predict(validation.windows);
+  nn::workspace ws;
+  const auto before = shared_bundle().model.predict(validation.windows, ws);
+  const auto after = loaded.predict(validation.windows, ws);
   ASSERT_EQ(before.size(), after.size());
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_DOUBLE_EQ(before[i], after[i]);

@@ -305,6 +305,7 @@ TEST(delay_provider, tiered_publish_emits_deltas_against_shared_sink) {
 
   probe pr{make_stream(10, 5e-6)};
   obs::sink sink;
+  provider.bind_sink(&sink);
   (void)provider.estimate_sojourn(pr.state, 5e-5);
   provider.publish(sink);
   (void)provider.estimate_sojourn(pr.state, 5e-5);
@@ -313,6 +314,17 @@ TEST(delay_provider, tiered_publish_emits_deltas_against_shared_sink) {
   EXPECT_DOUBLE_EQ(sink.metrics().counter("tiered.analytical_packets"), 20.0);
   EXPECT_DOUBLE_EQ(sink.metrics().counter("tiered.analytical_calls"), 2.0);
   EXPECT_DOUBLE_EQ(sink.metrics().gauge("tiered.analytical_fraction"), 1.0);
+
+  // Both backends register a histogram of the sojourns they *predict*; the
+  // names say so (they are model outputs, not compute time).
+  const auto histograms = sink.metrics().snapshot().histograms;
+  ASSERT_TRUE(histograms.contains("delay.analytical.predicted_sojourn_seconds"));
+  ASSERT_TRUE(histograms.contains("delay.ptm.predicted_sojourn_seconds"));
+  EXPECT_EQ(histograms.at("delay.analytical.predicted_sojourn_seconds").count,
+            20u);
+  EXPECT_EQ(histograms.at("delay.ptm.predicted_sojourn_seconds").count, 0u);
+  EXPECT_FALSE(histograms.contains("delay.analytical_seconds"));
+  EXPECT_FALSE(histograms.contains("delay.ptm_seconds"));
 }
 
 // ---------------------------------------------------------------------------

@@ -169,7 +169,8 @@ TEST(ptm_errors, predict_before_train_throws) {
   cfg.time_steps = 4;
   core::ptm_model model{cfg};
   std::vector<double> windows(4 * core::feature_count, 0.0);
-  EXPECT_THROW((void)model.predict(windows), std::logic_error);
+  nn::workspace ws;
+  EXPECT_THROW((void)model.predict(windows, ws), std::logic_error);
 }
 
 TEST(ptm_errors, train_rejects_mismatched_time_steps) {

@@ -9,6 +9,8 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/dutil.hpp"
 #include "core/engine.hpp"
@@ -23,7 +25,6 @@
 #include "traffic/traffic_gen.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -56,6 +57,19 @@ std::vector<traffic::packet_stream> make_streams(std::size_t hosts, double rate,
   tg.seed = seed;
   auto generators = traffic::make_generators(flows, tg);
   return traffic::per_host_streams(generators, hosts, horizon, rng);
+}
+
+// Runs fn(i) for every i in [0, n) on `threads` plain threads, each taking
+// an interleaved slice of the range.
+template <typename Fn>
+void parallel_for(std::size_t threads, std::size_t n, const Fn& fn) {
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (std::size_t t = 0; t < threads; ++t)
+    workers.emplace_back([&fn, t, threads, n] {
+      for (std::size_t i = t; i < n; i += threads) fn(i);
+    });
+  for (auto& worker : workers) worker.join();
 }
 
 TEST(obs_registry, counters_gauges_histograms_roundtrip) {
@@ -97,9 +111,8 @@ TEST(obs_registry, histogram_merge_matches_joint_stream) {
 
 TEST(obs_registry, concurrent_mutation_under_parallel_for_is_exact) {
   obs::metric_registry reg;
-  util::thread_pool pool{4};
   constexpr std::size_t n = 20'000;
-  pool.parallel_for(n, [&](std::size_t i) {
+  parallel_for(4, n, [&](std::size_t i) {
     reg.add("hits");
     reg.observe("values", static_cast<double>(i % 10));
     reg.set("last", static_cast<double>(i));
@@ -114,9 +127,8 @@ TEST(obs_registry, concurrent_mutation_under_parallel_for_is_exact) {
 
 TEST(obs_sink, concurrent_events_all_recorded) {
   obs::sink sink;
-  util::thread_pool pool{4};
   constexpr std::size_t n = 5'000;
-  pool.parallel_for(n, [&](std::size_t i) {
+  parallel_for(4, n, [&](std::size_t i) {
     obs::scoped_timer timer{&sink, "test", "span", i};
   });
   EXPECT_EQ(sink.trace().size(), n);
