@@ -103,10 +103,9 @@ void register_gemm_backend_benches() {
             ->Args({static_cast<std::int64_t>(be), static_cast<std::int64_t>(s)});
 }
 
-// --- Forward-pass pairs: allocating vs workspace ---------------------------
-// Arg 0: legacy forward_const (allocates every intermediate). Arg 1: the
-// workspace overload (zero steady-state allocations). The delta is what the
-// engine's per-worker workspaces buy on the inference hot path.
+// --- Inference forward passes ----------------------------------------------
+// The workspace overload the engine's per-worker workspaces run on the
+// inference hot path (zero steady-state allocations).
 void bm_seq_regressor_forward(benchmark::State& state) {
   util::rng rng{8};
   nn::seq_regressor_config cfg;  // defaults = CPU-scaled Table 1 widths
@@ -115,18 +114,13 @@ void bm_seq_regressor_forward(benchmark::State& state) {
   for (auto& v : x.data()) v = rng.uniform(-1.0, 1.0);
   nn::workspace ws;
   for (auto _ : state) {
-    if (state.range(0) == 0) {
-      auto y = net.forward_const(x);
-      benchmark::DoNotOptimize(y.data().data());
-    } else {
-      ws.reset();
-      const nn::matrix& y = net.forward(x, ws);
-      benchmark::DoNotOptimize(y.data().data());
-    }
+    ws.reset();
+    const nn::matrix& y = net.forward(x, ws);
+    benchmark::DoNotOptimize(y.data().data());
   }
   state.SetItemsProcessed(state.iterations() * x.batch());
 }
-BENCHMARK(bm_seq_regressor_forward)->Arg(0)->Arg(1);
+BENCHMARK(bm_seq_regressor_forward);
 
 void bm_mlp_forward(benchmark::State& state) {
   util::rng rng{9};
@@ -135,18 +129,13 @@ void bm_mlp_forward(benchmark::State& state) {
   for (auto& v : x.data()) v = rng.uniform(-1.0, 1.0);
   nn::workspace ws;
   for (auto _ : state) {
-    if (state.range(0) == 0) {
-      auto y = net.forward_const(x);
-      benchmark::DoNotOptimize(y.data().data());
-    } else {
-      ws.reset();
-      const nn::matrix& y = net.forward(x, ws);
-      benchmark::DoNotOptimize(y.data().data());
-    }
+    ws.reset();
+    const nn::matrix& y = net.forward(x, ws);
+    benchmark::DoNotOptimize(y.data().data());
   }
   state.SetItemsProcessed(state.iterations() * x.rows());
 }
-BENCHMARK(bm_mlp_forward)->Arg(0)->Arg(1);
+BENCHMARK(bm_mlp_forward);
 
 void bm_traffic_manager(benchmark::State& state) {
   const auto kind = static_cast<des::scheduler_kind>(state.range(0));

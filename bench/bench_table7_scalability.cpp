@@ -180,10 +180,8 @@ telemetry_comparison compare_telemetry(
   obs::sink off_sink;
   out.off_wall = best_wall(&off_sink);
   obs::sink on_sink;
-  const auto telemetry_cfg = obs::telemetry::telemetry_config{}
-                                 .with_enabled(true)
-                                 .with_sample_period_ms(25)
-                                 .with_metrics_port(0);
+  const obs::telemetry::telemetry_config telemetry_cfg{
+      .enabled = true, .sample_period_ms = 25, .metrics_port = 0};
   auto* plane = on_sink.start_telemetry(telemetry_cfg);
   out.on_wall = best_wall(&on_sink);
   const std::string exposition = plane->render_metrics();

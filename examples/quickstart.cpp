@@ -15,6 +15,8 @@
 // Chrome trace-event JSON (load in chrome://tracing or ui.perfetto.dev),
 // and `--journeys N` samples every packet's per-hop journey and prints the
 // first N of them.
+// Malformed numbers (`80x`, `abc`, a port above 65535) print the usage line
+// and exit 2.
 //
 // Estimator selection (des/estimator_factory.hpp):
 //   --estimator NAME       run the prediction through "des", "deepqueuenet",
@@ -26,22 +28,25 @@
 // Live telemetry (obs/telemetry/):
 //   --metrics-port P       start the sink's background sampler and serve
 //                          /metrics, /snapshot, /series, /runs, /healthz on
-//                          127.0.0.1:P (0 = pick an ephemeral port; the
-//                          bound one is printed to stderr);
+//                          127.0.0.1:P, P a decimal in [0, 65535] (0 =
+//                          pick an ephemeral port; the bound one is
+//                          printed to stderr);
 //   --serve-hold           after the workflow finishes, keep serving until
 //                          SIGTERM/SIGINT, then shut down cleanly (exit 0);
 //   --strict-obs           after the run, fail (exit 3) if observability
-//                          reported data loss — dropped trace events or
-//                          logged contract violations.
+//                          reported data loss (dropped trace events).
 //
 // The tiered-vs-PTM, telemetry-overhead and worker-scaling checks live in
 // bench_table7_scalability (--tiered-smoke, --telemetry-smoke, --threads).
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -94,9 +99,8 @@ obs::telemetry::telemetry_plane* start_telemetry(
     std::signal(SIGINT, quickstart_handle_signal);
   }
   if (options.metrics_port < 0) return nullptr;
-  auto config = obs::telemetry::telemetry_config{}
-                    .with_enabled(true)
-                    .with_metrics_port(options.metrics_port);
+  const obs::telemetry::telemetry_config config{
+      .enabled = true, .metrics_port = options.metrics_port};
   auto* plane = sink.start_telemetry(config);
   if (plane != nullptr && plane->metrics_port() >= 0)
     std::fprintf(stderr,
@@ -117,13 +121,33 @@ void hold_and_serve(obs::sink& sink) {
 }
 
 // --strict-obs: non-zero exit when the summary carries a data-loss WARNING
-// footer (dropped trace events / contract violations).
+// footer (dropped trace events).
 int strict_obs_verdict(const obs::sink& sink) {
   const auto table = sink.summary_table();
   if (table.footer().empty()) return 0;
   for (const auto& line : table.footer())
     std::fprintf(stderr, "[strict-obs] %s\n", line.c_str());
   return 3;
+}
+
+// A decimal number with no sign and no trailing characters, at most `max`.
+std::optional<unsigned long long> parse_decimal(const char* text,
+                                                unsigned long long max) {
+  if (*text < '0' || *text > '9') return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || value > max) return std::nullopt;
+  return value;
+}
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: quickstart [--json] [--chrome-trace <path>] "
+               "[--journeys N] [--estimator des|deepqueuenet|fluid] "
+               "[--delay-backend ptm|analytical|tiered] "
+               "[--metrics-port P] [--serve-hold] [--strict-obs]\n");
+  return 2;
 }
 
 bool parse_backend(std::string_view name, des::delay_backend* out) {
@@ -174,7 +198,8 @@ int run_profiled(const profile_options& options) {
   context.topo = &topo;
   context.routes = &routes;
   context.ptm = ptm;
-  context.engine.with_partitions(2).with_sink(&sink);
+  context.engine.partitions = 2;
+  context.engine.sink = &sink;
   context.des.sink = &sink;
   const auto net = des::make_estimator("deepqueuenet", context);
   (void)net->run(request);
@@ -246,26 +271,23 @@ int main(int argc, char** argv) {
     } else if (arg == "--chrome-trace" && i + 1 < argc) {
       options.chrome_trace = argv[++i];
     } else if (arg == "--journeys" && i + 1 < argc) {
-      options.journeys = static_cast<std::size_t>(std::strtoull(
-          argv[++i], nullptr, 10));
+      const auto journeys = parse_decimal(argv[++i], SIZE_MAX);
+      if (!journeys) return usage();
+      options.journeys = static_cast<std::size_t>(*journeys);
     } else if (arg == "--estimator" && i + 1 < argc) {
       est_options.estimator = argv[++i];
     } else if (arg == "--delay-backend" && i + 1 < argc) {
       est_options.delay_backend = argv[++i];
     } else if (arg == "--metrics-port" && i + 1 < argc) {
-      tele_options.metrics_port =
-          static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      const auto port = parse_decimal(argv[++i], 65535);
+      if (!port) return usage();
+      tele_options.metrics_port = static_cast<int>(*port);
     } else if (arg == "--serve-hold") {
       tele_options.serve_hold = true;
     } else if (arg == "--strict-obs") {
       tele_options.strict_obs = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: quickstart [--json] [--chrome-trace <path>] "
-                   "[--journeys N] [--estimator des|deepqueuenet|fluid] "
-                   "[--delay-backend ptm|analytical|tiered] "
-                   "[--metrics-port P] [--serve-hold] [--strict-obs]\n");
-      return 2;
+      return usage();
     }
   }
   des::delay_backend backend = des::delay_backend::ptm;

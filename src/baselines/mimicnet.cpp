@@ -88,11 +88,13 @@ void mimicnet_estimator::train_segment(
 }
 
 double mimicnet_estimator::predict_segment(const segment_model& model,
-                                           std::array<double, feature_width_> x) const {
-  nn::matrix xin{1, feature_width_};
+                                           std::array<double, feature_width_> x,
+                                           nn::workspace& ws) const {
+  ws.reset();
+  nn::matrix& xin = ws.take(1, feature_width_);
   for (std::size_t f = 0; f < feature_width_; ++f)
     xin(0, f) = model.features.transform_one(f, x[f]);
-  const nn::matrix y = model.net.forward_const(xin);
+  const nn::matrix& y = model.net.forward(xin, ws);
   return std::max(0.0, model.target.inverse(y(0, 0)));
 }
 
@@ -205,6 +207,7 @@ des::run_result mimicnet_estimator::predict(
             [](const send_item& a, const send_item& b) { return a.time < b.time; });
 
   flow_rate_tracker tracker;
+  nn::workspace ws;  // reused by every segment prediction below
   des::run_result result;
   result.deliveries.reserve(sends.size());
   for (const auto& item : sends) {
@@ -239,13 +242,14 @@ des::run_result mimicnet_estimator::predict(
 
     double queueing = 0;
     if (up_hops > 0)
-      queueing += predict_segment(up_, {len, rate_ema, static_cast<double>(up_hops)});
+      queueing += predict_segment(
+          up_, {len, rate_ema, static_cast<double>(up_hops)}, ws);
     if (core_hops > 0)
-      queueing +=
-          predict_segment(core_, {len, rate_ema, static_cast<double>(core_hops)});
+      queueing += predict_segment(
+          core_, {len, rate_ema, static_cast<double>(core_hops)}, ws);
     if (down_hops > 0)
-      queueing +=
-          predict_segment(down_, {len, rate_ema, static_cast<double>(down_hops)});
+      queueing += predict_segment(
+          down_, {len, rate_ema, static_cast<double>(down_hops)}, ws);
 
     des::delivery_record d;
     d.pid = item.pkt.pid;

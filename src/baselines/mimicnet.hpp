@@ -70,8 +70,10 @@ class mimicnet_estimator : public des::estimator {
                      const std::vector<std::array<double, feature_width_>>& x,
                      const std::vector<double>& y, std::size_t epochs,
                      std::uint64_t seed);
+  // One packet's segment delay; runs out of `ws` (reset on entry).
   [[nodiscard]] double predict_segment(const segment_model& model,
-                                       std::array<double, feature_width_> x) const;
+                                       std::array<double, feature_width_> x,
+                                       nn::workspace& ws) const;
 
   segment_model up_;    // host -> top of its pod (ToR + Agg queueing)
   segment_model core_;  // core layer traversal

@@ -156,10 +156,11 @@ path_kpis routenet_estimator::predict(const std::vector<double>& features) const
   if (!trained_) throw std::logic_error{"routenet::predict: not trained"};
   if (features.size() != feature_width())
     throw std::invalid_argument{"routenet::predict: bad feature width"};
-  nn::matrix x{1, feature_width()};
+  nn::workspace ws;
+  nn::matrix& x = ws.take(1, feature_width());
   for (std::size_t f = 0; f < feature_width(); ++f)
     x(0, f) = feature_scaler_.transform_one(f, features[f]);
-  const nn::matrix y = net_.forward_const(x);
+  const nn::matrix& y = net_.forward(x, ws);
   path_kpis kpis;
   kpis.avg_rtt = std::max(0.0, target_scalers_[0].inverse(y(0, 0)));
   kpis.p99_rtt = std::max(0.0, target_scalers_[1].inverse(y(0, 1)));

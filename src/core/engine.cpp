@@ -45,24 +45,6 @@ void engine_stats::publish(obs::sink& sink) const {
   sink.gauge("engine.shard_imbalance", shard_imbalance);
 }
 
-engine_stats engine_stats::from_registry(const obs::metric_registry& registry) {
-  engine_stats stats;
-  stats.iterations = static_cast<std::size_t>(registry.counter("engine.iterations"));
-  stats.device_inferences =
-      static_cast<std::size_t>(registry.counter("engine.device_inferences"));
-  stats.devices_skipped =
-      static_cast<std::size_t>(registry.counter("engine.devices_skipped"));
-  stats.steals = static_cast<std::uint64_t>(registry.counter("engine.steals"));
-  stats.workers = static_cast<std::size_t>(registry.gauge("engine.workers"));
-  stats.cross_shard_links =
-      static_cast<std::size_t>(registry.gauge("engine.cross_shard_links"));
-  stats.wall_seconds = registry.gauge("engine.wall_seconds");
-  stats.busy_seconds = registry.gauge("engine.busy_seconds");
-  stats.critical_path_seconds = registry.gauge("engine.critical_path_seconds");
-  stats.shard_imbalance = registry.gauge("engine.shard_imbalance");
-  return stats;
-}
-
 dqn_network::dqn_network(const topo::topology& topo, const topo::routing& routes,
                          std::shared_ptr<const ptm_model> ptm, scheduler_context ctx,
                          engine_config config)

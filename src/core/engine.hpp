@@ -21,7 +21,6 @@
 
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/device_model.hpp"
@@ -34,20 +33,17 @@
 #include "util/work_stealing_pool.hpp"
 
 namespace dqn::obs {
-class metric_registry;
 class sink;
 }  // namespace dqn::obs
 
 namespace dqn::core {
 
-// Engine configuration. Remains an aggregate — brace/designated init keeps
-// working — but the preferred construction style is the documented builder
-// chain:
+// Engine configuration: a plain aggregate, set by field assignment or
+// designated initializers (every member has a default, so omitted ones are
+// warning-free):
 //
-//   auto cfg = core::engine_config{}
-//                  .with_partitions(4)
-//                  .with_sec(false)
-//                  .with_sink(&sink);
+//   const core::engine_config cfg{.partitions = 4, .apply_sec = false,
+//                                 .sink = &sink};
 struct engine_config {
   std::size_t partitions = 1;      // "number of GPUs"
   std::size_t max_iterations = 0;  // 0 = 1 + diameter(G) (Theorem 3.1)
@@ -72,12 +68,12 @@ struct engine_config {
   // paper's PTM (default), the queueing-theoretic closed forms, or the
   // tiered policy that routes each device by utilization. A run_request may
   // override this per run (des::run_request::delay).
-  des::delay_policy delay;
+  des::delay_policy delay{};
   // Opt-in live telemetry (obs/telemetry/): with enabled == true and a
   // non-null sink, run() idempotently starts the sink's background sampler
   // (and, when telemetry.metrics_port >= 0, the /metrics endpoint) before
   // the first IRSA iteration. Default-off: zero threads, zero overhead.
-  obs::telemetry::telemetry_config telemetry;
+  obs::telemetry::telemetry_config telemetry{};
   // How devices are assigned to workers (topo/sharding.hpp). `topology`
   // (default) BFS-grows connected shards that minimize cross-shard links;
   // `round_robin` is the legacy interleaving, kept as the determinism
@@ -88,72 +84,6 @@ struct engine_config {
   // worker, small enough that a straggling shard rebalances within an IRSA
   // iteration, large enough that deque traffic stays off the profile.
   std::size_t steal_batch = 0;
-
-  // Number of parallel inference partitions ("GPUs"); must be >= 1.
-  engine_config& with_partitions(std::size_t n) noexcept {
-    partitions = n;
-    return *this;
-  }
-  // Iteration cap; 0 restores the 1 + diameter(G) bound of Theorem 3.1.
-  engine_config& with_max_iterations(std::size_t n) noexcept {
-    max_iterations = n;
-    return *this;
-  }
-  // Enable/disable statistical error correction (§6.1 ablation).
-  engine_config& with_sec(bool enabled) noexcept {
-    apply_sec = enabled;
-    return *this;
-  }
-  // Fixed-point tolerance on per-packet egress times.
-  engine_config& with_convergence_epsilon(double eps) noexcept {
-    convergence_epsilon = eps;
-    return *this;
-  }
-  // Record per-device predicted hops into the run_result (visibility).
-  engine_config& with_hop_records(bool enabled) noexcept {
-    record_hops = enabled;
-    return *this;
-  }
-  // Model host NICs as single-queue FIFO devices.
-  engine_config& with_host_nic_model(bool enabled) noexcept {
-    model_host_nics = enabled;
-    return *this;
-  }
-  // Skip devices whose ingress is unchanged since the previous iteration.
-  engine_config& with_irsa_skip(bool enabled) noexcept {
-    irsa_skip_unchanged = enabled;
-    return *this;
-  }
-  // Attach an observability sink (nullptr detaches).
-  engine_config& with_sink(obs::sink* s) noexcept {
-    sink = s;
-    return *this;
-  }
-  // Enable the live telemetry plane on the configured sink.
-  engine_config& with_telemetry(obs::telemetry::telemetry_config t) {
-    telemetry = std::move(t);
-    return *this;
-  }
-  // Install a full delay policy (backend + tiering knobs).
-  engine_config& with_delay_policy(des::delay_policy policy) noexcept {
-    delay = policy;
-    return *this;
-  }
-  // Select the sojourn backend, keeping the policy's other knobs.
-  engine_config& with_delay_backend(des::delay_backend backend) noexcept {
-    delay.backend = backend;
-    return *this;
-  }
-  // Select the device-to-worker sharding strategy.
-  engine_config& with_sharding(topo::shard_strategy strategy) noexcept {
-    sharding = strategy;
-    return *this;
-  }
-  // Devices per stealable batch (0 = auto).
-  engine_config& with_steal_batch(std::size_t devices) noexcept {
-    steal_batch = devices;
-    return *this;
-  }
 };
 
 struct engine_stats {
@@ -175,12 +105,8 @@ struct engine_stats {
   // (critical_path * workers / busy - 1, clamped at 0).
   double shard_imbalance = 0;
 
-  // engine_stats is re-expressed on top of the obs registry: publish writes
-  // every field as an "engine.*" counter/gauge, and from_registry
-  // reconstructs an identical struct from those metrics (the struct is a
-  // cached view; the registry is the source of truth when a sink is wired).
+  // Writes every field as an "engine.*" counter (the event counts) or gauge.
   void publish(obs::sink& sink) const;
-  [[nodiscard]] static engine_stats from_registry(const obs::metric_registry& registry);
 };
 
 // Lifecycle: construct -> [set_device_context]* -> run() -> {stats(),

@@ -102,19 +102,6 @@ std::size_t window_scheduler(std::span<const double> windows, std::size_t i,
 
 }  // namespace
 
-nn::seq_batch ptm_model::scale_windows(std::span<const double> windows) const {
-  const std::size_t window_size = config_.time_steps * feature_count;
-  DQN_CHECK(windows.size() % window_size == 0,
-            "ptm_model: windows size ", windows.size(),
-            " not a multiple of window ", window_size);
-  const std::size_t n = windows.size() / window_size;
-  nn::seq_batch batch{n, config_.time_steps, feature_count};
-  std::copy(windows.begin(), windows.end(), batch.data().begin());
-  apply_feature_log(batch.data());
-  feature_scaler_.transform(batch);
-  return batch;
-}
-
 nn::seq_batch& ptm_model::scale_windows_into(std::span<const double> windows,
                                              nn::workspace& ws) const {
   const std::size_t window_size = config_.time_steps * feature_count;
@@ -153,7 +140,8 @@ training_report ptm_model::train(
           window_prior_bound(data.windows, i, config_.time_steps));
     target_scaler_.fit(net_targets);
   }
-  const nn::seq_batch all = scale_windows(data.windows);
+  nn::workspace scaled;
+  const nn::seq_batch& all = scale_windows_into(data.windows, scaled);
 
   nn::param_list params;
   if (config_.arch == ptm_arch::attention)
@@ -309,7 +297,8 @@ std::vector<nn::matrix> ptm_model::attention_maps(std::span<const double> window
   if (!trained_) throw std::logic_error{"attention_maps: model not trained"};
   if (window.size() != config_.time_steps * feature_count)
     throw std::invalid_argument{"attention_maps: expected exactly one window"};
-  const nn::seq_batch batch = scale_windows(window);
+  nn::workspace ws;
+  const nn::seq_batch& batch = scale_windows_into(window, ws);
   (void)attention_net_.forward(batch);  // training-mode forward fills caches
   std::vector<nn::matrix> maps;
   for (std::size_t head = 0; head < config_.heads; ++head)
@@ -360,6 +349,9 @@ void ptm_model::load(std::istream& in) {
   in.read(reinterpret_cast<char*>(&time_steps), sizeof time_steps);
   in.read(reinterpret_cast<char*>(&is_trained), sizeof is_trained);
   if (!in) throw std::runtime_error{"ptm_model::load: truncated stream"};
+  DQN_ENSURE(arch <= static_cast<std::uint8_t>(ptm_arch::attention),
+             "ptm_model::load: architecture byte ", static_cast<int>(arch),
+             " out of range (corrupt stream?)");
   config_.arch = static_cast<ptm_arch>(arch);
   config_.time_steps = static_cast<std::size_t>(time_steps);
   if (config_.arch == ptm_arch::attention)

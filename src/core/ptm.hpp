@@ -119,8 +119,7 @@ class ptm_model {
   void load(std::istream& in);
 
  private:
-  [[nodiscard]] nn::seq_batch scale_windows(std::span<const double> windows) const;
-  // Allocation-free variant: the scaled batch is a workspace slot.
+  // Log-transform and min-max scale raw windows into a workspace slot.
   [[nodiscard]] nn::seq_batch& scale_windows_into(std::span<const double> windows,
                                                   nn::workspace& ws) const;
 

@@ -56,23 +56,6 @@ struct delay_policy {
   double utilization_threshold = 0.35;
   double hysteresis = 0.05;
   double error_budget = 0.25;
-
-  delay_policy& with_backend(delay_backend b) noexcept {
-    backend = b;
-    return *this;
-  }
-  delay_policy& with_threshold(double t) noexcept {
-    utilization_threshold = t;
-    return *this;
-  }
-  delay_policy& with_hysteresis(double h) noexcept {
-    hysteresis = h;
-    return *this;
-  }
-  delay_policy& with_error_budget(double budget) noexcept {
-    error_budget = budget;
-    return *this;
-  }
 };
 
 struct run_request {

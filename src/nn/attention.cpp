@@ -26,14 +26,12 @@ multi_head_attention::multi_head_attention(const attention_config& config,
   gwo_ = matrix{wo_.rows(), wo_.cols()};
 }
 
-matrix multi_head_attention::forward_sample(const matrix& x, sample_cache* cache) const {
+matrix multi_head_attention::forward_sample(const matrix& x, sample_cache& cache) const {
   const std::size_t time = x.rows();
   const double scale = 1.0 / std::sqrt(static_cast<double>(config_.key_dim));
   matrix concat{time, config_.heads * config_.value_dim};
-  if (cache != nullptr) {
-    cache->x = x;
-    cache->heads.assign(config_.heads, {});
-  }
+  cache.x = x;
+  cache.heads.assign(config_.heads, {});
   for (std::size_t h = 0; h < config_.heads; ++h) {
     matrix q = matmul(x, wq_[h]);
     matrix k = matmul(x, wk_[h]);
@@ -56,15 +54,13 @@ matrix multi_head_attention::forward_sample(const matrix& x, sample_cache* cache
     for (std::size_t t = 0; t < time; ++t)
       for (std::size_t f = 0; f < config_.value_dim; ++f)
         concat(t, h * config_.value_dim + f) = head_out(t, f);
-    if (cache != nullptr) {
-      cache->heads[h].q = std::move(q);
-      cache->heads[h].k = std::move(k);
-      cache->heads[h].v = std::move(v);
-      cache->heads[h].attn = std::move(scores);
-    }
+    cache.heads[h].q = std::move(q);
+    cache.heads[h].k = std::move(k);
+    cache.heads[h].v = std::move(v);
+    cache.heads[h].attn = std::move(scores);
   }
   matrix out = matmul(concat, wo_);
-  if (cache != nullptr) cache->concat = std::move(concat);
+  cache.concat = std::move(concat);
   return out;
 }
 
@@ -74,16 +70,7 @@ seq_batch multi_head_attention::forward(const seq_batch& x) {
   caches_.assign(x.batch(), {});
   seq_batch out{x.batch(), x.time(), config_.out_dim};
   for (std::size_t b = 0; b < x.batch(); ++b)
-    out.set_sample(b, forward_sample(x.sample(b), &caches_[b]));
-  return out;
-}
-
-seq_batch multi_head_attention::forward_const(const seq_batch& x) const {
-  DQN_CHECK(x.features() == config_.model_dim, "attention::forward_const: got ",
-            x.features(), " features, want ", config_.model_dim);
-  seq_batch out{x.batch(), x.time(), config_.out_dim};
-  for (std::size_t b = 0; b < x.batch(); ++b)
-    out.set_sample(b, forward_sample(x.sample(b), nullptr));
+    out.set_sample(b, forward_sample(x.sample(b), caches_[b]));
   return out;
 }
 

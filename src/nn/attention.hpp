@@ -29,7 +29,6 @@ class multi_head_attention {
 
   // x: (B, T, D) → (B, T, out_dim). Caches per-sample activations.
   [[nodiscard]] seq_batch forward(const seq_batch& x);
-  [[nodiscard]] seq_batch forward_const(const seq_batch& x) const;
   // Allocation-free inference forward: per-head scratch (q/k/v/scores) is
   // hoisted out of the sample loop into `ws` slots and reused across the
   // whole batch. Result valid until the next ws.reset().
@@ -60,8 +59,8 @@ class multi_head_attention {
     std::vector<head_cache> heads;
   };
 
-  // Forward for a single sample; fills cache if non-null.
-  [[nodiscard]] matrix forward_sample(const matrix& x, sample_cache* cache) const;
+  // Training forward for a single sample; fills `cache`.
+  [[nodiscard]] matrix forward_sample(const matrix& x, sample_cache& cache) const;
 
   attention_config config_;
   std::vector<matrix> wq_, wk_, wv_;  // per head: (D, dk), (D, dk), (D, dv)

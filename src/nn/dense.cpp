@@ -8,6 +8,7 @@
 
 #include "nn/kernels/epilogue.hpp"
 #include "nn/kernels/gemm.hpp"
+#include "util/check.hpp"
 
 namespace dqn::nn {
 
@@ -40,16 +41,11 @@ dense::dense(std::size_t in_dim, std::size_t out_dim, activation act, util::rng&
 
 matrix dense::forward(const matrix& x) {
   last_x_ = x;
-  last_y_ = forward_const(x);
-  return last_y_;
-}
-
-matrix dense::forward_const(const matrix& x) const {
-  matrix y = matmul(x, w_);
-  add_row_vector(y, b_);
+  last_y_ = matmul(x, w_);
+  add_row_vector(last_y_, b_);
   if (act_ != activation::identity)
-    for (auto& v : y.data()) v = apply_activation(act_, v);
-  return y;
+    for (auto& v : last_y_.data()) v = apply_activation(act_, v);
+  return last_y_;
 }
 
 const matrix& dense::forward(const matrix& x, workspace& ws) const {
@@ -101,6 +97,8 @@ void dense::load(std::istream& in) {
   std::int32_t act = 0;
   in.read(reinterpret_cast<char*>(&act), sizeof act);
   if (!in) throw std::runtime_error{"dense::load: truncated stream"};
+  DQN_ENSURE(act >= 0 && act <= static_cast<std::int32_t>(activation::sigmoid),
+             "dense::load: activation ", act, " out of range (corrupt stream?)");
   act_ = static_cast<activation>(act);
   gw_ = matrix{w_.rows(), w_.cols()};
   gb_.assign(b_.size(), 0.0);

@@ -23,9 +23,6 @@ class dense {
 
   // x: (batch, in_dim) → (batch, out_dim). Caches x and y for backward.
   [[nodiscard]] matrix forward(const matrix& x);
-  // Inference-only forward: no caches touched (usable concurrently from
-  // multiple threads on a const layer).
-  [[nodiscard]] matrix forward_const(const matrix& x) const;
   // Allocation-free inference forward: result lives in `ws` until its next
   // reset. GEMM + fused bias/activation epilogue, no intermediates.
   [[nodiscard]] const matrix& forward(const matrix& x, workspace& ws) const;
@@ -34,10 +31,6 @@ class dense {
   [[nodiscard]] matrix backward(const matrix& grad_y);
 
   void collect_params(param_list& out);
-
-  [[nodiscard]] std::size_t in_dim() const noexcept { return w_.rows(); }
-  [[nodiscard]] std::size_t out_dim() const noexcept { return w_.cols(); }
-  [[nodiscard]] const matrix& weights() const noexcept { return w_; }
 
   void save(std::ostream& out) const;
   void load(std::istream& in);

@@ -30,7 +30,7 @@ lstm::lstm(std::size_t input_dim, std::size_t hidden_dim, bool reverse, util::rn
   for (std::size_t j = hidden_dim; j < 2 * hidden_dim; ++j) b_[j] = 1.0;
 }
 
-void lstm::step(const matrix& x_t, matrix& h, matrix& c, step_cache* cache) const {
+void lstm::step(const matrix& x_t, matrix& h, matrix& c, step_cache& cache) const {
   const std::size_t hidden = wh_.rows();
   matrix z = matmul(x_t, wx_);
   matmul_acc(h, wh_, z);
@@ -58,14 +58,12 @@ void lstm::step(const matrix& x_t, matrix& h, matrix& c, step_cache* cache) cons
       h_next(bi, j) = go * std::tanh(cn);
     }
   }
-  if (cache != nullptr) {
-    cache->x = x_t;
-    cache->gates = gates;
-    cache->c_prev = c;
-    cache->h_prev = h;
-    cache->c = c_next;
-    cache->h = h_next;
-  }
+  cache.x = x_t;
+  cache.gates = std::move(gates);
+  cache.c_prev = c;
+  cache.h_prev = h;
+  cache.c = c_next;
+  cache.h = h_next;
   c = std::move(c_next);
   h = std::move(h_next);
 }
@@ -81,22 +79,7 @@ seq_batch lstm::forward(const seq_batch& x) {
   matrix c{batch, hidden};
   for (std::size_t s = 0; s < time; ++s) {
     const std::size_t t = reverse_ ? time - 1 - s : s;
-    step(x.time_slice(t), h, c, &caches_[s]);
-    out.set_time_slice(t, h);
-  }
-  return out;
-}
-
-seq_batch lstm::forward_const(const seq_batch& x) const {
-  DQN_CHECK(x.features() == input_dim(), "lstm::forward_const: got ",
-            x.features(), " features, want ", input_dim());
-  const std::size_t batch = x.batch(), time = x.time(), hidden = hidden_dim();
-  seq_batch out{batch, time, hidden};
-  matrix h{batch, hidden};
-  matrix c{batch, hidden};
-  for (std::size_t s = 0; s < time; ++s) {
-    const std::size_t t = reverse_ ? time - 1 - s : s;
-    step(x.time_slice(t), h, c, nullptr);
+    step(x.time_slice(t), h, c, caches_[s]);
     out.set_time_slice(t, h);
   }
   return out;
@@ -231,10 +214,6 @@ seq_batch concat_features(const seq_batch& a, const seq_batch& b) {
 
 seq_batch bilstm::forward(const seq_batch& x) {
   return concat_features(fwd_.forward(x), bwd_.forward(x));
-}
-
-seq_batch bilstm::forward_const(const seq_batch& x) const {
-  return concat_features(fwd_.forward_const(x), bwd_.forward_const(x));
 }
 
 const seq_batch& bilstm::forward(const seq_batch& x, workspace& ws) const {

@@ -23,7 +23,6 @@ class lstm {
 
   // x: (B, T, F) → hidden states (B, T, H). Caches activations for backward.
   [[nodiscard]] seq_batch forward(const seq_batch& x);
-  [[nodiscard]] seq_batch forward_const(const seq_batch& x) const;
   // Allocation-free inference forward: all state (h, c, per-step gate
   // pre-activations) lives in `ws`; result valid until the next ws.reset().
   [[nodiscard]] const seq_batch& forward(const seq_batch& x, workspace& ws) const;
@@ -50,8 +49,8 @@ class lstm {
     matrix h_prev; // (B, H)
   };
 
-  // Run one step given x_t and previous state; fills cache if non-null.
-  void step(const matrix& x_t, matrix& h, matrix& c, step_cache* cache) const;
+  // Run one training step given x_t and previous state; fills `cache`.
+  void step(const matrix& x_t, matrix& h, matrix& c, step_cache& cache) const;
 
   matrix wx_;  // (F, 4H)
   matrix wh_;  // (H, 4H)
@@ -72,7 +71,6 @@ class bilstm {
   bilstm(std::size_t input_dim, std::size_t hidden_dim, util::rng& rng);
 
   [[nodiscard]] seq_batch forward(const seq_batch& x);
-  [[nodiscard]] seq_batch forward_const(const seq_batch& x) const;
   // Allocation-free inference forward (see lstm::forward overload).
   [[nodiscard]] const seq_batch& forward(const seq_batch& x, workspace& ws) const;
   [[nodiscard]] seq_batch backward(const seq_batch& grad_out);

@@ -74,16 +74,6 @@ void add_row_vector(matrix& m, std::span<const double> bias) {
   }
 }
 
-matrix hadamard(const matrix& a, const matrix& b) {
-  DQN_CHECK(a.rows() == b.rows() && a.cols() == b.cols(),
-            "hadamard: shape mismatch: ", a.rows(), "x", a.cols(), " vs ",
-            b.rows(), "x", b.cols());
-  matrix out{a.rows(), a.cols()};
-  for (std::size_t i = 0; i < a.size(); ++i)
-    out.data()[i] = a.data()[i] * b.data()[i];
-  return out;
-}
-
 matrix transpose(const matrix& m) {
   matrix out{m.cols(), m.rows()};
   kernels::transpose_blocked(m.data().data(), out.data().data(), m.rows(),

@@ -101,7 +101,6 @@ void matmul_nt_acc(const matrix& a, const matrix& b, matrix& out);
 // Elementwise helpers.
 void add_inplace(matrix& a, const matrix& b);
 void add_row_vector(matrix& m, std::span<const double> bias);
-[[nodiscard]] matrix hadamard(const matrix& a, const matrix& b);
 [[nodiscard]] matrix transpose(const matrix& m);
 
 // Binary (de)serialization of a matrix.

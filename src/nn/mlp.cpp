@@ -23,12 +23,6 @@ matrix mlp::forward(const matrix& x) {
   return h;
 }
 
-matrix mlp::forward_const(const matrix& x) const {
-  matrix h = x;
-  for (const auto& layer : layers_) h = layer.forward_const(h);
-  return h;
-}
-
 const matrix& mlp::forward(const matrix& x, workspace& ws) const {
   if (layers_.empty()) throw std::logic_error{"mlp: not initialized"};
   const matrix* h = &x;
@@ -44,16 +38,6 @@ matrix mlp::backward(const matrix& grad_y) {
 
 void mlp::collect_params(param_list& out) {
   for (auto& layer : layers_) layer.collect_params(out);
-}
-
-std::size_t mlp::in_dim() const {
-  if (layers_.empty()) throw std::logic_error{"mlp: not initialized"};
-  return layers_.front().in_dim();
-}
-
-std::size_t mlp::out_dim() const {
-  if (layers_.empty()) throw std::logic_error{"mlp: not initialized"};
-  return layers_.back().out_dim();
 }
 
 void mlp::save(std::ostream& out) const {

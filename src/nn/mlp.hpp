@@ -20,16 +20,12 @@ class mlp {
   mlp(const std::vector<std::size_t>& layer_dims, activation act, util::rng& rng);
 
   [[nodiscard]] matrix forward(const matrix& x);
-  [[nodiscard]] matrix forward_const(const matrix& x) const;
   // Allocation-free inference forward: layer outputs ping-pong through `ws`
   // slots. Result valid until the next ws.reset().
   [[nodiscard]] const matrix& forward(const matrix& x, workspace& ws) const;
   [[nodiscard]] matrix backward(const matrix& grad_y);
 
   void collect_params(param_list& out);
-
-  [[nodiscard]] std::size_t in_dim() const;
-  [[nodiscard]] std::size_t out_dim() const;
 
   void save(std::ostream& out) const;
   void load(std::istream& in);

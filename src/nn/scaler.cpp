@@ -21,10 +21,6 @@ void min_max_scaler::fit(std::span<const double> flat_rows, std::size_t features
   }
 }
 
-void min_max_scaler::fit(const seq_batch& batch) {
-  fit(batch.data(), batch.features());
-}
-
 double min_max_scaler::transform_one(std::size_t feature, double x) const {
   if (feature >= lo_.size())
     throw std::out_of_range{"min_max_scaler::transform_one: feature index"};

@@ -17,7 +17,6 @@ class min_max_scaler {
 
   // Fit per-feature bounds from rows of width `features`.
   void fit(std::span<const double> flat_rows, std::size_t features);
-  void fit(const seq_batch& batch);
 
   // x' = (x - min) / (max - min); constant features map to 0.
   [[nodiscard]] double transform_one(std::size_t feature, double x) const;

@@ -4,12 +4,21 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "util/check.hpp"
+
 namespace dqn::nn {
+
+namespace {
+
+// The serialized header has a fixed slot per encoder width.
+constexpr std::size_t max_encoder_layers = 16;
+
+}  // namespace
 
 seq_regressor::seq_regressor(const seq_regressor_config& config, util::rng& rng)
     : config_{config} {
-  if (config.lstm_hidden.empty())
-    throw std::invalid_argument{"seq_regressor: need at least one BLSTM layer"};
+  if (config.lstm_hidden.empty() || config.lstm_hidden.size() > max_encoder_layers)
+    throw std::invalid_argument{"seq_regressor: need 1 to 16 BLSTM layers"};
   std::size_t dim = config.input_dim;
   for (std::size_t width : config.lstm_hidden) {
     encoder_.emplace_back(dim, width, rng);
@@ -34,14 +43,6 @@ matrix seq_regressor::forward(const seq_batch& x) {
   // Regression head reads the attended representation of the final packet.
   const matrix final_step = last_attn_out_.time_slice(last_time_ - 1);
   return head_out_.forward(head_hidden_.forward(final_step));
-}
-
-matrix seq_regressor::forward_const(const seq_batch& x) const {
-  seq_batch h = x;
-  for (const auto& layer : encoder_) h = layer.forward_const(h);
-  const seq_batch attended = attention_.forward_const(h);
-  const matrix final_step = attended.time_slice(x.time() - 1);
-  return head_out_.forward_const(head_hidden_.forward_const(final_step));
 }
 
 const matrix& seq_regressor::forward(const seq_batch& x, workspace& ws) const {
@@ -89,8 +90,8 @@ void seq_regressor::save(std::ostream& out) const {
   out.write(reinterpret_cast<const char*>(&layers), sizeof layers);
   out.write(reinterpret_cast<const char*>(&input_dim), sizeof input_dim);
   out.write(reinterpret_cast<const char*>(&head_hidden), sizeof head_hidden);
-  std::uint64_t widths[16] = {};
-  for (std::size_t i = 0; i < encoder_.size() && i < 16; ++i)
+  std::uint64_t widths[max_encoder_layers] = {};
+  for (std::size_t i = 0; i < encoder_.size(); ++i)
     widths[i] = config_.lstm_hidden[i];
   out.write(reinterpret_cast<const char*>(widths), sizeof widths);
   for (const auto& layer : encoder_) layer.save(out);
@@ -104,9 +105,13 @@ void seq_regressor::load(std::istream& in) {
   in.read(reinterpret_cast<char*>(&layers), sizeof layers);
   in.read(reinterpret_cast<char*>(&input_dim), sizeof input_dim);
   in.read(reinterpret_cast<char*>(&head_hidden), sizeof head_hidden);
-  std::uint64_t widths[16] = {};
+  std::uint64_t widths[max_encoder_layers] = {};
   in.read(reinterpret_cast<char*>(widths), sizeof widths);
   if (!in) throw std::runtime_error{"seq_regressor::load: truncated stream"};
+  DQN_ENSURE(layers >= 1 && layers <= max_encoder_layers,
+             "seq_regressor::load: ", layers,
+             " encoder layers out of range [1, ", max_encoder_layers,
+             "] (corrupt stream?)");
   config_.input_dim = static_cast<std::size_t>(input_dim);
   config_.head_hidden = static_cast<std::size_t>(head_hidden);
   config_.lstm_hidden.clear();

@@ -36,7 +36,6 @@ class seq_regressor {
   // x: (B, T, input_dim) → (B, 1) predicted (scaled) sojourn of the final
   // packet in each window.
   [[nodiscard]] matrix forward(const seq_batch& x);
-  [[nodiscard]] matrix forward_const(const seq_batch& x) const;
   // Allocation-free inference forward: the whole chain (encoder, attention,
   // head) runs out of `ws`. The CALLER owns the workspace lifecycle — this
   // method only takes slots and never resets, so `x` may itself live in `ws`.

@@ -109,6 +109,10 @@ http_request http_server::parse_target(std::string_view target) {
 http_server::http_server(const std::string& bind_address, int port,
                          handler_fn handler)
     : handler_{std::move(handler)} {
+  if (port < 0 || port > 65535)
+    throw std::invalid_argument{"telemetry http_server: port " +
+                                std::to_string(port) +
+                                " outside [0, 65535]"};
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0)
     throw std::runtime_error{std::string{"telemetry http_server: socket(): "} +

@@ -42,7 +42,9 @@ class http_server {
   using handler_fn = std::function<http_response(const http_request&)>;
 
   // Binds `bind_address:port` (port 0 = ephemeral) and starts the acceptor
-  // thread. Throws std::runtime_error when the socket cannot be set up.
+  // thread. Throws std::invalid_argument for a port outside [0, 65535]
+  // (before any socket is opened) and std::runtime_error when the socket
+  // cannot be set up.
   http_server(const std::string& bind_address, int port, handler_fn handler);
   ~http_server();
 

@@ -33,27 +33,6 @@ struct telemetry_config {
   // Listener bind address; loopback by default — exposing run internals on
   // a routable interface is an explicit caller decision.
   std::string bind_address = "127.0.0.1";
-
-  telemetry_config& with_enabled(bool on) noexcept {
-    enabled = on;
-    return *this;
-  }
-  telemetry_config& with_sample_period_ms(unsigned ms) noexcept {
-    sample_period_ms = ms;
-    return *this;
-  }
-  telemetry_config& with_ring_capacity(std::size_t capacity) noexcept {
-    ring_capacity = capacity;
-    return *this;
-  }
-  telemetry_config& with_metrics_port(int port) noexcept {
-    metrics_port = port;
-    return *this;
-  }
-  telemetry_config& with_bind_address(std::string address) {
-    bind_address = std::move(address);
-    return *this;
-  }
 };
 
 }  // namespace dqn::obs::telemetry

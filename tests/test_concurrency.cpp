@@ -1,8 +1,8 @@
 // Concurrency stress tests: exact-count checks over the mutex-protected obs
-// primitives, the work-stealing pool, the contracts counter, and the
-// partitioned IRSA engine path. These are the workloads the TSan CI job
-// (-DDQN_SANITIZE=thread) drives; under the plain build they still verify
-// that no updates are lost under contention.
+// primitives, the work-stealing pool, and the partitioned IRSA engine path.
+// These are the workloads the TSan CI job (-DDQN_SANITIZE=thread) drives;
+// under the plain build they still verify that no updates are lost under
+// contention.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,7 +21,6 @@
 #include "core/engine.hpp"
 #include "core/features.hpp"
 #include "des/run_api.hpp"
-#include "obs/contracts.hpp"
 #include "obs/handles.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
@@ -30,7 +29,6 @@
 #include "topo/routing.hpp"
 #include "traffic/traffic_gen.hpp"
 #include "util/annotations.hpp"
-#include "util/check.hpp"
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
 #include "util/work_stealing_pool.hpp"
@@ -179,27 +177,6 @@ TEST(concurrency, sink_accepts_concurrent_mixed_traffic) {
   EXPECT_EQ(sink.trace().size(), 6u * 200u);
 }
 
-TEST(concurrency, contract_violations_count_exactly_across_threads) {
-  util::reset_contract_violation_count();
-  obs::sink sink;
-  obs::install_contract_counter(sink);
-  constexpr std::size_t threads = 8;
-  constexpr std::size_t violations = 250;
-  run_threads(threads, [](std::size_t) {
-    for (std::size_t i = 0; i < violations; ++i) {
-      try {
-        DQN_ENSURE(false, "stress");
-      } catch (const util::contract_violation&) {
-      }
-    }
-  });
-  obs::remove_contract_counter();
-  EXPECT_EQ(util::contract_violation_count(), threads * violations);
-  EXPECT_EQ(sink.metrics().counter("contracts.violations"),
-            static_cast<double>(threads * violations));
-  util::reset_contract_violation_count();
-}
-
 // One tiny trained PTM shared by the engine/provider tests below (training
 // dominates their runtime).
 std::shared_ptr<const core::ptm_model> tiny_ptm() {
@@ -319,11 +296,10 @@ TEST(concurrency, partitioned_tiered_engine_matches_single_partition_run) {
   auto generators = traffic::make_generators(flows, tg);
   const auto streams = traffic::per_host_streams(generators, 16, 0.005, rng);
 
-  const auto policy = des::delay_policy{}
-                          .with_backend(des::delay_backend::tiered)
-                          .with_threshold(0.35)
-                          .with_hysteresis(0.05)
-                          .with_error_budget(0.25);
+  const des::delay_policy policy{.backend = des::delay_backend::tiered,
+                                 .utilization_threshold = 0.35,
+                                 .hysteresis = 0.05,
+                                 .error_budget = 0.25};
   core::engine_config serial_cfg;
   serial_cfg.partitions = 1;
   serial_cfg.delay = policy;
@@ -623,14 +599,18 @@ TEST(concurrency, sharded_engine_exports_steals_and_imbalance) {
                      stealing_result.deliveries[i].delivery_time);
   }
 
-  // The stats round-trip through the registry (engine_stats contract).
+  // publish() writes the stats as engine.* metrics, value for value.
   obs::sink sink;
   lumped.stats().publish(sink);
-  const auto rebuilt = core::engine_stats::from_registry(sink.metrics());
-  EXPECT_EQ(rebuilt.steals, lumped.stats().steals);
-  EXPECT_EQ(rebuilt.workers, lumped.stats().workers);
-  EXPECT_EQ(rebuilt.cross_shard_links, lumped.stats().cross_shard_links);
-  EXPECT_DOUBLE_EQ(rebuilt.shard_imbalance, lumped.stats().shard_imbalance);
+  const auto& metrics = sink.metrics();
+  EXPECT_EQ(metrics.counter("engine.steals"),
+            static_cast<double>(lumped.stats().steals));
+  EXPECT_EQ(metrics.gauge("engine.workers"),
+            static_cast<double>(lumped.stats().workers));
+  EXPECT_EQ(metrics.gauge("engine.cross_shard_links"),
+            static_cast<double>(lumped.stats().cross_shard_links));
+  EXPECT_EQ(metrics.gauge("engine.shard_imbalance"),
+            lumped.stats().shard_imbalance);
 }
 
 }  // namespace

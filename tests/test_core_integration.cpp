@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <memory>
 #include <numeric>
+#include <sstream>
+#include <string>
 
 #include "core/dlib.hpp"
 #include "core/dutil.hpp"
@@ -110,6 +112,17 @@ TEST(dlib, store_fetch_roundtrip_preserves_predictions) {
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_DOUBLE_EQ(before[i], after[i]);
   std::filesystem::remove_all(dir);
+}
+
+TEST(ptm_model, load_rejects_out_of_range_architecture_byte) {
+  const core::ptm_model model{core::ptm_config{}};
+  std::stringstream buffer;
+  model.save(buffer);
+  std::string bytes = buffer.str();
+  bytes[0] = 2;  // leading ptm_arch byte: only mlp (0) and attention (1) exist
+  std::istringstream in{bytes};
+  core::ptm_model loaded;
+  EXPECT_THROW(loaded.load(in), util::contract_violation);
 }
 
 TEST(dlib, fetch_missing_key_throws) {

@@ -370,12 +370,11 @@ void expect_identical_deliveries(const des::run_result& a,
 TEST(delay_provider, tiered_threshold_zero_is_pure_ptm_through_engine) {
   const engine_scenario sc;
   const auto ptm_result =
-      sc.run(des::delay_policy{}.with_backend(des::delay_backend::ptm));
+      sc.run(des::delay_policy{.backend = des::delay_backend::ptm});
   const auto tiered_result =
-      sc.run(des::delay_policy{}
-                 .with_backend(des::delay_backend::tiered)
-                 .with_threshold(0)
-                 .with_hysteresis(0));
+      sc.run(des::delay_policy{.backend = des::delay_backend::tiered,
+                               .utilization_threshold = 0,
+                               .hysteresis = 0});
   ASSERT_FALSE(ptm_result.deliveries.empty());
   expect_identical_deliveries(ptm_result, tiered_result);
 }
@@ -383,13 +382,12 @@ TEST(delay_provider, tiered_threshold_zero_is_pure_ptm_through_engine) {
 TEST(delay_provider, tiered_huge_threshold_is_pure_analytical_through_engine) {
   const engine_scenario sc;
   const auto analytical_result =
-      sc.run(des::delay_policy{}.with_backend(des::delay_backend::analytical));
+      sc.run(des::delay_policy{.backend = des::delay_backend::analytical});
   const auto tiered_result =
-      sc.run(des::delay_policy{}
-                 .with_backend(des::delay_backend::tiered)
-                 .with_threshold(1e9)
-                 .with_hysteresis(0)
-                 .with_error_budget(0));
+      sc.run(des::delay_policy{.backend = des::delay_backend::tiered,
+                               .utilization_threshold = 1e9,
+                               .hysteresis = 0,
+                               .error_budget = 0});
   ASSERT_FALSE(analytical_result.deliveries.empty());
   expect_identical_deliveries(analytical_result, tiered_result);
 }
@@ -405,10 +403,10 @@ TEST(delay_provider, run_request_delay_override_lasts_one_run) {
   request.host_streams = &sc.streams;
   request.horizon = sc.horizon;
   request.delay =
-      des::delay_policy{}.with_backend(des::delay_backend::analytical);
+      des::delay_policy{.backend = des::delay_backend::analytical};
   const auto overridden = net.run(request);
   const auto analytical_result =
-      sc.run(des::delay_policy{}.with_backend(des::delay_backend::analytical));
+      sc.run(des::delay_policy{.backend = des::delay_backend::analytical});
   expect_identical_deliveries(overridden, analytical_result);
 
   // The override does not stick: the configured provider is restored.
@@ -416,7 +414,7 @@ TEST(delay_provider, run_request_delay_override_lasts_one_run) {
   request.delay.reset();
   const auto plain = net.run(request);
   const auto ptm_result =
-      sc.run(des::delay_policy{}.with_backend(des::delay_backend::ptm));
+      sc.run(des::delay_policy{.backend = des::delay_backend::ptm});
   expect_identical_deliveries(plain, ptm_result);
 }
 

@@ -345,8 +345,8 @@ TEST(workspace, take_zeroed_clears_previous_contents) {
 }
 
 // ---------------------------------------------------------------------------
-// Workspace forward paths agree with forward_const bit-for-bit, and the
-// steady state allocates nothing.
+// Workspace (inference) forward paths agree with the training forward
+// bit-for-bit, and the steady state allocates nothing.
 
 nn::seq_batch random_batch(std::size_t batch, std::size_t time,
                            std::size_t features, util::rng& rng) {
@@ -355,7 +355,7 @@ nn::seq_batch random_batch(std::size_t batch, std::size_t time,
   return x;
 }
 
-TEST(workspace_forward, seq_regressor_matches_forward_const_exactly) {
+TEST(workspace_forward, seq_regressor_matches_training_forward_exactly) {
   util::rng rng{21};
   nn::seq_regressor_config cfg;
   cfg.input_dim = 6;
@@ -367,46 +367,47 @@ TEST(workspace_forward, seq_regressor_matches_forward_const_exactly) {
   cfg.head_hidden = 8;
   nn::seq_regressor net{cfg, rng};
   const nn::seq_batch x = random_batch(5, 9, 6, rng);
-  const nn::matrix ref = net.forward_const(x);
+  const nn::matrix ref = net.forward(x);
   nn::workspace ws;
   ws.reset();
   const nn::matrix& got = net.forward(x, ws);
   ASSERT_EQ(got.rows(), ref.rows());
   ASSERT_EQ(got.cols(), ref.cols());
   for (std::size_t i = 0; i < ref.size(); ++i)
-    EXPECT_DOUBLE_EQ(ref.data()[i], got.data()[i]);
+    EXPECT_EQ(ref.data()[i], got.data()[i]);
 }
 
-TEST(workspace_forward, mlp_and_dense_match_forward_const_exactly) {
+TEST(workspace_forward, mlp_and_dense_match_training_forward_exactly) {
   util::rng rng{22};
   nn::mlp net{{7, 11, 5, 1}, nn::activation::tanh, rng};
   nn::matrix x{9, 7};
   for (auto& v : x.data()) v = rng.uniform(-1.0, 1.0);
-  const nn::matrix ref = net.forward_const(x);
+  const nn::matrix ref = net.forward(x);
   nn::workspace ws;
   const nn::matrix& got = net.forward(x, ws);
   ASSERT_EQ(got.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i)
-    EXPECT_DOUBLE_EQ(ref.data()[i], got.data()[i]);
+    EXPECT_EQ(ref.data()[i], got.data()[i]);
 
   nn::dense layer{7, 3, nn::activation::sigmoid, rng};
-  const nn::matrix dref = layer.forward_const(x);
+  const nn::matrix dref = layer.forward(x);
   ws.reset();
   const nn::matrix& dgot = layer.forward(x, ws);
+  ASSERT_EQ(dgot.size(), dref.size());
   for (std::size_t i = 0; i < dref.size(); ++i)
-    EXPECT_DOUBLE_EQ(dref.data()[i], dgot.data()[i]);
+    EXPECT_EQ(dref.data()[i], dgot.data()[i]);
 }
 
-TEST(workspace_forward, bilstm_matches_forward_const_exactly) {
+TEST(workspace_forward, bilstm_matches_training_forward_exactly) {
   util::rng rng{23};
   nn::bilstm layer{5, 6, rng};
   const nn::seq_batch x = random_batch(4, 7, 5, rng);
-  const nn::seq_batch ref = layer.forward_const(x);
+  const nn::seq_batch ref = layer.forward(x);
   nn::workspace ws;
   const nn::seq_batch& got = layer.forward(x, ws);
   ASSERT_EQ(got.data().size(), ref.data().size());
   for (std::size_t i = 0; i < ref.data().size(); ++i)
-    EXPECT_DOUBLE_EQ(ref.data()[i], got.data()[i]);
+    EXPECT_EQ(ref.data()[i], got.data()[i]);
 }
 
 TEST(workspace_forward, steady_state_seq_regressor_is_allocation_free) {

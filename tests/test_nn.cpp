@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "nn/adam.hpp"
 #include "nn/attention.hpp"
@@ -263,7 +265,7 @@ TEST(gradients, seq_regressor_mse) {
   param_list params;
   model.collect_params(params);
   auto forward = [&] {
-    const matrix pred = model.forward_const(x);
+    const matrix pred = model.forward(x);
     double loss = 0;
     for (std::size_t i = 0; i < pred.rows(); ++i) {
       const double diff = pred(i, 0) - targets(i, 0);
@@ -278,21 +280,7 @@ TEST(gradients, seq_regressor_mse) {
   check_gradients(params, forward, backward, 1e-5);
 }
 
-// --- Forward consistency and training ------------------------------------
-
-TEST(forward_const, matches_training_forward) {
-  rng r{18};
-  seq_regressor_config cfg;
-  cfg.input_dim = 4;
-  cfg.lstm_hidden = {4, 3};
-  seq_regressor model{cfg, r};
-  seq_batch x{2, 6, 4};
-  for (auto& v : x.data()) v = r.normal(0, 1);
-  const matrix a = model.forward(x);
-  const matrix b = model.forward_const(x);
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_DOUBLE_EQ(a.data()[i], b.data()[i]);
-}
+// --- Training ------------------------------------------------------------
 
 TEST(adam, minimizes_quadratic) {
   // Minimize (w - 3)^2 elementwise.
@@ -335,7 +323,7 @@ TEST(mlp, learns_xor_like_function) {
     (void)net.backward(grad);
     opt.step();
   }
-  const matrix pred = net.forward_const(x);
+  const matrix pred = net.forward(x);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(pred(i, 0), y(i, 0), 0.1);
 }
 
@@ -422,27 +410,63 @@ TEST(serialization, seq_regressor_roundtrip_preserves_outputs) {
   seq_regressor model{cfg, r};
   seq_batch x{2, 5, 3};
   for (auto& v : x.data()) v = r.normal(0, 1);
-  const matrix before = model.forward_const(x);
+  const matrix before = model.forward(x);
 
   std::stringstream buffer;
   model.save(buffer);
   seq_regressor loaded;
   loaded.load(buffer);
-  const matrix after = loaded.forward_const(x);
+  const matrix after = loaded.forward(x);
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_DOUBLE_EQ(before.data()[i], after.data()[i]);
+}
+
+// Loaders validate what they read: one corrupted byte that puts an enum or a
+// count out of range is a typed error, never silently wrong inference.
+TEST(serialization, dense_load_rejects_out_of_range_activation) {
+  rng r{23};
+  const dense layer{3, 2, activation::relu, r};
+  std::stringstream buffer;
+  layer.save(buffer);
+  std::string bytes = buffer.str();
+  bytes[bytes.size() - sizeof(std::int32_t)] = 9;  // trailing activation int32
+  std::istringstream in{bytes};
+  dense loaded;
+  EXPECT_THROW(loaded.load(in), dqn::util::contract_violation);
+}
+
+TEST(serialization, seq_regressor_load_rejects_out_of_range_depth) {
+  rng r{24};
+  seq_regressor_config cfg;
+  cfg.input_dim = 3;
+  cfg.lstm_hidden = {4, 3};
+  const seq_regressor model{cfg, r};
+  std::stringstream buffer;
+  model.save(buffer);
+  std::string bytes = buffer.str();
+  bytes[0] = 17;  // low byte of the leading encoder-layer count
+  std::istringstream in{bytes};
+  seq_regressor loaded;
+  EXPECT_THROW(loaded.load(in), dqn::util::contract_violation);
+}
+
+TEST(serialization, seq_regressor_rejects_more_layers_than_save_records) {
+  rng r{25};
+  seq_regressor_config cfg;
+  cfg.lstm_hidden.assign(17, 2);
+  EXPECT_THROW((seq_regressor{cfg, r}), std::invalid_argument);
 }
 
 TEST(serialization, mlp_roundtrip_preserves_outputs) {
   rng r{22};
   mlp net{{3, 5, 2}, activation::relu, r};
   const matrix x = matrix::randn(4, 3, r, 1.0);
-  const matrix before = net.forward_const(x);
+  const matrix before = net.forward(x);
   std::stringstream buffer;
   net.save(buffer);
   mlp loaded;
   loaded.load(buffer);
-  const matrix after = loaded.forward_const(x);
+  const matrix after = loaded.forward(x);
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_DOUBLE_EQ(before.data()[i], after.data()[i]);
 }

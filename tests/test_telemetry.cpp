@@ -212,8 +212,8 @@ TEST(telemetry_sampler, tick_computes_deltas_and_publishes_resources) {
   snapshot_ring ring{16};
   // A very long period: the background thread effectively never fires on
   // its own, every tick below is driven by the test.
-  auto config = telemetry_config{}.with_enabled(true).with_sample_period_ms(
-      60 * 60 * 1000);
+  const telemetry_config config{.enabled = true,
+                                .sample_period_ms = 60 * 60 * 1000};
   snapshot_sampler sampler{sink, ring, config};
 
   sink.count("engine.deliveries", 100);
@@ -361,13 +361,18 @@ TEST(telemetry_http, url_decode_and_target_parsing) {
   EXPECT_EQ(request.query.at("k"), "v w");
 }
 
+TEST(telemetry_http, rejects_ports_outside_the_16_bit_range) {
+  // The range check runs before socket(), so these cases open no socket.
+  const auto handler = [](const http_request&) { return http_response{}; };
+  EXPECT_THROW(http_server("127.0.0.1", 65536, handler), std::invalid_argument);
+  EXPECT_THROW(http_server("127.0.0.1", -1, handler), std::invalid_argument);
+}
+
 TEST(telemetry_http, serves_all_endpoints_on_an_ephemeral_port) {
   obs::sink sink;
   sink.count("engine.deliveries", 7);
-  const auto config = telemetry_config{}
-                          .with_enabled(true)
-                          .with_sample_period_ms(10)
-                          .with_metrics_port(0);
+  const telemetry_config config{
+      .enabled = true, .sample_period_ms = 10, .metrics_port = 0};
   auto* plane = sink.start_telemetry(config);
   ASSERT_NE(plane, nullptr);
   ASSERT_TRUE(plane->serving());
@@ -435,12 +440,9 @@ TEST(telemetry_summary, footer_warns_on_data_loss_counters) {
 
   obs::sink lossy;
   lossy.count("trace.dropped", 12);
-  lossy.count("contracts.violations", 2);
   const auto table = lossy.summary_table();
-  ASSERT_EQ(table.footer().size(), 2u);
+  ASSERT_EQ(table.footer().size(), 1u);
   EXPECT_NE(table.footer()[0].find("trace.dropped"), std::string::npos);
-  EXPECT_NE(table.footer()[1].find("contracts.violations"),
-            std::string::npos);
   // Footer lines render into the text output too.
   EXPECT_NE(table.to_string().find("WARNING"), std::string::npos);
 
