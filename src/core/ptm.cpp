@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <istream>
 #include <numeric>
 #include <ostream>
@@ -61,11 +62,40 @@ ptm_model::ptm_model(const ptm_config& config) : config_{config} {
 
 namespace {
 
-// x -> log1p(x / scale) for the heavy-tailed features (features.hpp).
-void apply_feature_log(std::span<double> flat_windows) {
-  for (std::size_t i = 0; i < flat_windows.size(); ++i) {
-    const double scale = feature_log_scale[i % feature_count];
-    if (scale > 0) flat_windows[i] = std::log1p(flat_windows[i] / scale);
+// x -> log1p(x / scale) for the heavy-tailed features (features.hpp), one
+// feature row from `in` to `out`.
+void log_row(const double* in, double* out) {
+  for (std::size_t f = 0; f < feature_count; ++f) {
+    const double scale = feature_log_scale[f];
+    out[f] = scale > 0 ? std::log1p(in[f] / scale) : in[f];
+  }
+}
+
+// Applies `row_fn(in_row, out_row)` to every feature row of `windows`
+// (count x time_steps x feature_count) and writes the results to `out`, the
+// same shape. Rows are pure functions of their bits, so when a window's first
+// time_steps-1 rows are byte-equal to the previous window's last ones, as in
+// every window make_windows builds after the first, their results are copied
+// from the previous output window and only the final row is computed. Any
+// other input (shuffled, hand-built) is computed row by row. Either way the
+// output is bit-identical to applying `row_fn` to every row.
+template <typename RowFn>
+void map_window_rows(std::span<const double> windows, std::span<double> out,
+                     std::size_t time_steps, RowFn row_fn) {
+  const std::size_t window_size = time_steps * feature_count;
+  const std::size_t shared = window_size - feature_count;  // rows 0..T-2
+  const std::size_t n = windows.size() / window_size;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* src = windows.data() + i * window_size;
+    double* dst = out.data() + i * window_size;
+    std::size_t t = 0;
+    if (i > 0 && shared > 0 &&
+        std::memcmp(src, src - shared, shared * sizeof(double)) == 0) {
+      std::copy_n(dst - shared, shared, dst);
+      t = time_steps - 1;
+    }
+    for (; t < time_steps; ++t)
+      row_fn(src + t * feature_count, dst + t * feature_count);
   }
 }
 
@@ -102,18 +132,20 @@ std::size_t window_scheduler(std::span<const double> windows, std::size_t i,
 
 }  // namespace
 
-nn::seq_batch& ptm_model::scale_windows_into(std::span<const double> windows,
-                                             nn::workspace& ws) const {
+void ptm_model::scale_windows_into(std::span<const double> windows,
+                                   std::span<double> out) const {
   const std::size_t window_size = config_.time_steps * feature_count;
-  DQN_CHECK(windows.size() % window_size == 0,
-            "ptm_model: windows size ", windows.size(),
-            " not a multiple of window ", window_size);
-  const std::size_t n = windows.size() / window_size;
-  nn::seq_batch& batch = ws.take_seq(n, config_.time_steps, feature_count);
-  std::copy(windows.begin(), windows.end(), batch.data().begin());
-  apply_feature_log(batch.data());
-  feature_scaler_.transform(batch);
-  return batch;
+  DQN_ENSURE(windows.size() % window_size == 0 && out.size() == windows.size(),
+             "ptm_model: ", windows.size(), " window values into ", out.size(),
+             " outputs; want equal sizes, a multiple of window ", window_size);
+  DQN_ENSURE(feature_scaler_.features() == feature_count,
+             "ptm_model: feature scaler is ", feature_scaler_.features(),
+             " wide, want ", feature_count);
+  map_window_rows(windows, out, config_.time_steps,
+                  [this](const double* in, double* row) {
+                    log_row(in, row);
+                    feature_scaler_.transform_row({row, feature_count});
+                  });
 }
 
 training_report ptm_model::train(
@@ -127,11 +159,11 @@ training_report ptm_model::train(
              " windows, ", data.targets.size(), " targets)");
 
   util::stopwatch watch;
-  {
-    std::vector<double> transformed(data.windows.begin(), data.windows.end());
-    apply_feature_log(transformed);
-    feature_scaler_.fit(transformed, feature_count);
-  }
+  // One buffer serves twice: the log-transformed rows the scaler is fit on,
+  // then the scaled windows every batch gathers from.
+  std::vector<double> scaled(data.windows.size());
+  map_window_rows(data.windows, scaled, config_.time_steps, log_row);
+  feature_scaler_.fit(scaled, feature_count);
   {
     std::vector<double> net_targets(data.targets.size());
     for (std::size_t i = 0; i < data.targets.size(); ++i)
@@ -140,8 +172,7 @@ training_report ptm_model::train(
           window_prior_bound(data.windows, i, config_.time_steps));
     target_scaler_.fit(net_targets);
   }
-  nn::workspace scaled;
-  const nn::seq_batch& all = scale_windows_into(data.windows, scaled);
+  scale_windows_into(data.windows, scaled);
 
   nn::param_list params;
   if (config_.arch == ptm_arch::attention)
@@ -166,10 +197,14 @@ training_report ptm_model::train(
   const std::size_t batch_size = std::min(config_.batch_size, n);
   // Batch staging buffers hoisted out of the loops: every iteration reuses
   // the same allocations instead of constructing fresh tensors per batch.
-  nn::seq_batch batch{batch_size, config_.time_steps, feature_count};
+  // Each architecture gathers its batch straight into the tensor its
+  // forward pass reads.
+  const std::size_t window_size = config_.time_steps * feature_count;
+  const bool attention = config_.arch == ptm_arch::attention;
+  nn::seq_batch batch{attention ? batch_size : 0, config_.time_steps, feature_count};
+  nn::matrix flat{attention ? 0 : batch_size, window_size};
+  double* const gather = attention ? batch.data().data() : flat.data().data();
   nn::matrix targets{batch_size, 1};
-  nn::matrix flat{batch_size, config_.time_steps * feature_count};
-  nn::matrix sample_row{config_.time_steps, feature_count};
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     obs::scoped_timer epoch_timer{config_.sink, "ptm", "epoch", epoch};
     shuffle_rng.shuffle(order);
@@ -179,18 +214,17 @@ training_report ptm_model::train(
     for (std::size_t begin = 0; begin + batch_size <= n; begin += batch_size) {
       for (std::size_t b = 0; b < batch_size; ++b) {
         const std::size_t src = order[begin + b];
-        all.sample_into(src, sample_row);
-        batch.set_sample(b, sample_row);
+        std::copy_n(scaled.data() + src * window_size, window_size,
+                    gather + b * window_size);
         targets(b, 0) = target_scaler_.transform(residual_to_net(
             data.targets[src],
             window_prior_bound(data.windows, src, config_.time_steps)));
       }
       double loss = 0;
-      if (config_.arch == ptm_arch::attention) {
+      if (attention) {
         const nn::matrix pred = attention_net_.forward(batch);
         loss = attention_net_.backward_mse(pred, targets);
       } else {
-        std::copy(batch.data().begin(), batch.data().end(), flat.data().begin());
         const nn::matrix pred = mlp_net_.forward(flat);
         nn::matrix grad{batch_size, 1};  // backward consumes it; cheap next to the GEMMs
         for (std::size_t b = 0; b < batch_size; ++b) {
@@ -237,16 +271,18 @@ std::vector<double> ptm_model::predict(std::span<const double> windows,
                                        std::vector<double>* raw_out) const {
   if (!trained_) throw std::logic_error{"ptm_model::predict: model not trained"};
   ws.reset();
-  const nn::seq_batch& batch = scale_windows_into(windows, ws);
-  const std::size_t n = batch.batch();
+  // The windows are scaled straight into the operand the network reads.
+  const std::size_t n = windows.size() / (config_.time_steps * feature_count);
   std::vector<double> out(n);
   if (config_.arch == ptm_arch::attention) {
+    nn::seq_batch& batch = ws.take_seq(n, config_.time_steps, feature_count);
+    scale_windows_into(windows, batch.data());
     const nn::matrix& pred = attention_net_.forward(batch, ws);
     for (std::size_t i = 0; i < n; ++i) out[i] = pred(i, 0);
   } else {
-    nn::matrix& flat = ws.take(n, config_.time_steps * feature_count);
-    std::copy(batch.data().begin(), batch.data().end(), flat.data().begin());
-    const nn::matrix& pred = mlp_net_.forward(flat, ws);
+    nn::matrix& x = ws.take(n, config_.time_steps * feature_count);
+    scale_windows_into(windows, x.data());
+    const nn::matrix& pred = mlp_net_.forward(x, ws);
     for (std::size_t i = 0; i < n; ++i) out[i] = pred(i, 0);
   }
   if (config_.sink != nullptr) {
@@ -297,8 +333,8 @@ std::vector<nn::matrix> ptm_model::attention_maps(std::span<const double> window
   if (!trained_) throw std::logic_error{"attention_maps: model not trained"};
   if (window.size() != config_.time_steps * feature_count)
     throw std::invalid_argument{"attention_maps: expected exactly one window"};
-  nn::workspace ws;
-  const nn::seq_batch& batch = scale_windows_into(window, ws);
+  nn::seq_batch batch{1, config_.time_steps, feature_count};
+  scale_windows_into(window, batch.data());
   (void)attention_net_.forward(batch);  // training-mode forward fills caches
   std::vector<nn::matrix> maps;
   for (std::size_t head = 0; head < config_.heads; ++head)
@@ -352,6 +388,9 @@ void ptm_model::load(std::istream& in) {
   DQN_ENSURE(arch <= static_cast<std::uint8_t>(ptm_arch::attention),
              "ptm_model::load: architecture byte ", static_cast<int>(arch),
              " out of range (corrupt stream?)");
+  DQN_ENSURE(time_steps >= 1 && time_steps <= max_time_steps,
+             "ptm_model::load: time_steps ", time_steps, " outside [1, ",
+             max_time_steps, "] (corrupt stream?)");
   config_.arch = static_cast<ptm_arch>(arch);
   config_.time_steps = static_cast<std::size_t>(time_steps);
   if (config_.arch == ptm_arch::attention)
@@ -359,6 +398,12 @@ void ptm_model::load(std::istream& in) {
   else
     mlp_net_.load(in);
   feature_scaler_.load(in);
+  // The front end indexes the scaler per feature without a bounds check.
+  // An untrained model may carry no scaler at all.
+  DQN_ENSURE(feature_scaler_.features() == feature_count ||
+                 (is_trained == 0 && !feature_scaler_.fitted()),
+             "ptm_model::load: feature scaler is ", feature_scaler_.features(),
+             " wide, want ", feature_count, " (corrupt or foreign model?)");
   target_scaler_.load(in);
   for (auto& table : sec_) table.load(in);
   trained_ = is_trained != 0;

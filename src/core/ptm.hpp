@@ -13,6 +13,7 @@
 #include <array>
 #include <functional>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -100,6 +101,15 @@ class ptm_model {
       std::span<const double> windows, nn::workspace& ws, bool apply_sec = true,
       std::vector<double>* raw_out = nullptr) const;
 
+  // The front end predict() and train() share: log-transform and min-max
+  // scale raw windows into `out` (the same size), which is the network's
+  // input operand. Each distinct feature row is scaled once: a window that
+  // repeats its predecessor's last time_steps-1 rows bit for bit, as every
+  // make_windows window after the first does, copies their scaled values.
+  // The result is bit-identical to scaling every value on its own.
+  void scale_windows_into(std::span<const double> windows,
+                          std::span<double> out) const;
+
   [[nodiscard]] const ptm_config& config() const noexcept { return config_; }
   [[nodiscard]] bool trained() const noexcept { return trained_; }
   // SEC is fit per scheduler kind: the residual structure differs between
@@ -116,13 +126,14 @@ class ptm_model {
       std::span<const double> window);
 
   void save(std::ostream& out) const;
+  // Throws util::contract_violation for a header or scaler that does not
+  // fit this build: time_steps outside [1, max_time_steps], or a fitted
+  // feature scaler that is not feature_count wide.
   void load(std::istream& in);
 
- private:
-  // Log-transform and min-max scale raw windows into a workspace slot.
-  [[nodiscard]] nn::seq_batch& scale_windows_into(std::span<const double> windows,
-                                                  nn::workspace& ws) const;
+  static constexpr std::size_t max_time_steps = 1024;
 
+ private:
   ptm_config config_;
   nn::seq_regressor attention_net_;
   nn::mlp mlp_net_;

@@ -210,22 +210,36 @@ void multi_head_attention::load(std::istream& in) {
   in.read(reinterpret_cast<char*>(&heads), sizeof heads);
   in.read(reinterpret_cast<char*>(dims), sizeof dims);
   if (!in) throw std::runtime_error{"attention::load: truncated stream"};
+  // Range-check the header before anything is sized from it, then hold every
+  // weight to the shape it promises.
+  DQN_ENSURE(heads >= 1 && heads <= max_heads, "attention::load: ", heads,
+             " heads, outside [1, ", max_heads, "] (corrupt stream?)");
+  for (const std::uint64_t dim : dims)
+    DQN_ENSURE(dim >= 1 && dim <= max_dim, "attention::load: dimension ", dim,
+               " outside [1, ", max_dim, "] (corrupt stream?)");
   config_.heads = static_cast<std::size_t>(heads);
   config_.model_dim = static_cast<std::size_t>(dims[0]);
   config_.key_dim = static_cast<std::size_t>(dims[1]);
   config_.value_dim = static_cast<std::size_t>(dims[2]);
   config_.out_dim = static_cast<std::size_t>(dims[3]);
+  const auto load_shaped = [&in](std::size_t rows, std::size_t cols) {
+    matrix m = load_matrix(in);
+    DQN_ENSURE(m.rows() == rows && m.cols() == cols, "attention::load: weight ",
+               m.rows(), "x", m.cols(), ", header says ", rows, "x", cols,
+               " (corrupt stream?)");
+    return m;
+  };
   wq_.clear(); wk_.clear(); wv_.clear();
   gwq_.clear(); gwk_.clear(); gwv_.clear();
   for (std::size_t h = 0; h < config_.heads; ++h) {
-    wq_.push_back(load_matrix(in));
-    wk_.push_back(load_matrix(in));
-    wv_.push_back(load_matrix(in));
+    wq_.push_back(load_shaped(config_.model_dim, config_.key_dim));
+    wk_.push_back(load_shaped(config_.model_dim, config_.key_dim));
+    wv_.push_back(load_shaped(config_.model_dim, config_.value_dim));
     gwq_.emplace_back(config_.model_dim, config_.key_dim);
     gwk_.emplace_back(config_.model_dim, config_.key_dim);
     gwv_.emplace_back(config_.model_dim, config_.value_dim);
   }
-  wo_ = load_matrix(in);
+  wo_ = load_shaped(config_.heads * config_.value_dim, config_.out_dim);
   gwo_ = matrix{wo_.rows(), wo_.cols()};
 }
 

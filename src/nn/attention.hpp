@@ -46,7 +46,13 @@ class multi_head_attention {
   [[nodiscard]] const matrix& attention_weights(std::size_t b, std::size_t h) const;
 
   void save(std::ostream& out) const;
+  // Throws util::contract_violation for a head count or dimension outside
+  // [1, max_heads] / [1, max_dim], or a weight whose shape disagrees with
+  // the header, before sizing any buffer from it.
   void load(std::istream& in);
+
+  static constexpr std::size_t max_heads = 64;
+  static constexpr std::size_t max_dim = std::size_t{1} << 16;
 
  private:
   struct head_cache {

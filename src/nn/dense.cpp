@@ -91,6 +91,9 @@ void dense::load(std::istream& in) {
   w_ = load_matrix(in);
   std::uint64_t n = 0;
   in.read(reinterpret_cast<char*>(&n), sizeof n);
+  if (!in) throw std::runtime_error{"dense::load: truncated stream"};
+  DQN_ENSURE(n == w_.cols(), "dense::load: ", n, " biases for ", w_.cols(),
+             " outputs (corrupt stream?)");
   b_.assign(n, 0.0);
   in.read(reinterpret_cast<char*>(b_.data()),
           static_cast<std::streamsize>(n * sizeof(double)));

@@ -94,7 +94,11 @@ matrix load_matrix(std::istream& in) {
   in.read(reinterpret_cast<char*>(&rows), sizeof rows);
   in.read(reinterpret_cast<char*>(&cols), sizeof cols);
   if (!in) throw std::runtime_error{"load_matrix: truncated header"};
-  DQN_ENSURE(rows <= (std::uint64_t{1} << 32) && cols <= (std::uint64_t{1} << 32),
+  // Bounds each dimension and the element count (512 MiB of weights), so a
+  // corrupt header can neither overflow rows * cols nor ask for terabytes.
+  constexpr std::uint64_t max_elements = std::uint64_t{1} << 26;
+  DQN_ENSURE(rows <= max_elements && cols <= max_elements &&
+                 (cols == 0 || rows <= max_elements / cols),
              "load_matrix: implausible shape ", rows, "x", cols,
              " (corrupt stream?)");
   matrix m{static_cast<std::size_t>(rows), static_cast<std::size_t>(cols)};

@@ -5,11 +5,15 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "util/check.hpp"
+
 namespace dqn::nn {
 
 mlp::mlp(const std::vector<std::size_t>& layer_dims, activation act, util::rng& rng) {
   if (layer_dims.size() < 2)
     throw std::invalid_argument{"mlp: need at least input and output dims"};
+  DQN_ENSURE(layer_dims.size() - 1 <= max_layers, "mlp: ", layer_dims.size() - 1,
+             " layers, at most ", max_layers, " (load would reject the file)");
   for (std::size_t i = 0; i + 1 < layer_dims.size(); ++i) {
     const bool last = i + 2 == layer_dims.size();
     layers_.emplace_back(layer_dims[i], layer_dims[i + 1],
@@ -50,6 +54,8 @@ void mlp::load(std::istream& in) {
   std::uint64_t n = 0;
   in.read(reinterpret_cast<char*>(&n), sizeof n);
   if (!in) throw std::runtime_error{"mlp::load: truncated stream"};
+  DQN_ENSURE(n <= max_layers, "mlp::load: layer count ", n, " above ",
+             max_layers, " (corrupt stream?)");
   layers_.assign(static_cast<std::size_t>(n), dense{});
   for (auto& layer : layers_) layer.load(in);
 }

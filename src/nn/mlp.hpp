@@ -3,6 +3,7 @@
 // variant (DESIGN.md §4).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <vector>
 
@@ -28,7 +29,11 @@ class mlp {
   void collect_params(param_list& out);
 
   void save(std::ostream& out) const;
+  // Throws util::contract_violation for a layer count above max_layers
+  // (a corrupt header), before allocating.
   void load(std::istream& in);
+
+  static constexpr std::size_t max_layers = 64;
 
  private:
   std::vector<dense> layers_;

@@ -7,6 +7,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "util/check.hpp"
+
 namespace dqn::nn {
 
 void min_max_scaler::fit(std::span<const double> flat_rows, std::size_t features) {
@@ -35,15 +37,6 @@ double min_max_scaler::inverse_one(std::size_t feature, double x) const {
   return lo_[feature] + x * (hi_[feature] - lo_[feature]);
 }
 
-void min_max_scaler::transform(seq_batch& batch) const {
-  if (batch.features() != lo_.size())
-    throw std::invalid_argument{"min_max_scaler::transform: feature width mismatch"};
-  auto& data = batch.data();
-  const std::size_t features = lo_.size();
-  for (std::size_t i = 0; i < data.size(); ++i)
-    data[i] = transform_one(i % features, data[i]);
-}
-
 void min_max_scaler::save(std::ostream& out) const {
   const std::uint64_t n = lo_.size();
   out.write(reinterpret_cast<const char*>(&n), sizeof n);
@@ -56,6 +49,9 @@ void min_max_scaler::save(std::ostream& out) const {
 void min_max_scaler::load(std::istream& in) {
   std::uint64_t n = 0;
   in.read(reinterpret_cast<char*>(&n), sizeof n);
+  if (!in) throw std::runtime_error{"min_max_scaler::load: truncated stream"};
+  DQN_ENSURE(n <= max_features, "min_max_scaler::load: feature count ", n,
+             " above ", max_features, " (corrupt stream?)");
   lo_.assign(n, 0.0);
   hi_.assign(n, 0.0);
   in.read(reinterpret_cast<char*>(lo_.data()),

@@ -3,11 +3,10 @@
 // model so that inference applies the exact training-time transform.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <span>
 #include <vector>
-
-#include "nn/seq.hpp"
 
 namespace dqn::nn {
 
@@ -21,13 +20,24 @@ class min_max_scaler {
   // x' = (x - min) / (max - min); constant features map to 0.
   [[nodiscard]] double transform_one(std::size_t feature, double x) const;
   [[nodiscard]] double inverse_one(std::size_t feature, double x) const;
-  void transform(seq_batch& batch) const;
+  // transform_one over a whole row, in place. The row must be features()
+  // wide; that is the caller's check, made once per batch, not per element.
+  void transform_row(std::span<double> row) const noexcept {
+    for (std::size_t f = 0; f < row.size(); ++f) {
+      const double range = hi_[f] - lo_[f];
+      row[f] = range <= 0 ? 0.0 : (row[f] - lo_[f]) / range;
+    }
+  }
 
   [[nodiscard]] bool fitted() const noexcept { return !lo_.empty(); }
   [[nodiscard]] std::size_t features() const noexcept { return lo_.size(); }
 
   void save(std::ostream& out) const;
+  // Throws util::contract_violation for a feature count above
+  // max_features (a corrupt header), before allocating.
   void load(std::istream& in);
+
+  static constexpr std::size_t max_features = std::size_t{1} << 16;
 
  private:
   std::vector<double> lo_;

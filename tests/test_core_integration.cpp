@@ -3,17 +3,21 @@
 // small PTM is trained once and shared across the tests in this binary.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/dlib.hpp"
 #include "core/dutil.hpp"
 #include "core/engine.hpp"
 #include "core/metrics.hpp"
 #include "des/network.hpp"
+#include "nn/mlp.hpp"
+#include "nn/scaler.hpp"
 #include "topo/builders.hpp"
 #include "topo/routing.hpp"
 #include "traffic/traffic_gen.hpp"
@@ -123,6 +127,53 @@ TEST(ptm_model, load_rejects_out_of_range_architecture_byte) {
   std::istringstream in{bytes};
   core::ptm_model loaded;
   EXPECT_THROW(loaded.load(in), util::contract_violation);
+}
+
+// A trained MLP PTM stream built from its parts, with a feature scaler of
+// the given width: header, network, scalers, one SEC table per scheduler.
+std::string ptm_stream_with_scaler_width(std::size_t width,
+                                         std::uint64_t time_steps = 4) {
+  std::stringstream out;
+  const std::uint8_t arch = 0, is_trained = 1;
+  out.write(reinterpret_cast<const char*>(&arch), sizeof arch);
+  out.write(reinterpret_cast<const char*>(&time_steps), sizeof time_steps);
+  out.write(reinterpret_cast<const char*>(&is_trained), sizeof is_trained);
+  util::rng rng{41};
+  const nn::mlp net{{4 * core::feature_count, 8, 1}, nn::activation::tanh, rng};
+  net.save(out);
+  std::vector<double> rows(3 * width);
+  for (auto& v : rows) v = rng.uniform(0.0, 1.0);
+  nn::min_max_scaler features;
+  features.fit(rows, width);
+  features.save(out);
+  nn::target_scaler target;
+  target.fit(std::vector<double>{0.0, 1.0});
+  target.save(out);
+  for (int kind = 0; kind < 5; ++kind) core::sec_table{}.save(out);
+  return out.str();
+}
+
+TEST(ptm_model, load_rejects_a_scaler_that_is_not_feature_count_wide) {
+  {
+    std::istringstream in{ptm_stream_with_scaler_width(core::feature_count)};
+    core::ptm_model loaded;
+    loaded.load(in);
+    EXPECT_TRUE(loaded.trained());
+  }
+  std::istringstream in{ptm_stream_with_scaler_width(16)};
+  core::ptm_model loaded;
+  EXPECT_THROW(loaded.load(in), util::contract_violation);
+}
+
+TEST(ptm_model, load_rejects_time_steps_outside_the_bound) {
+  for (const std::uint64_t time_steps :
+       {std::uint64_t{0}, std::uint64_t{core::ptm_model::max_time_steps + 1},
+        std::uint64_t{1} << 40}) {
+    std::istringstream in{
+        ptm_stream_with_scaler_width(core::feature_count, time_steps)};
+    core::ptm_model loaded;
+    EXPECT_THROW(loaded.load(in), util::contract_violation) << time_steps;
+  }
 }
 
 TEST(dlib, fetch_missing_key_throws) {

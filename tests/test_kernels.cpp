@@ -17,9 +17,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -33,6 +35,7 @@
 #include "nn/lstm.hpp"
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
+#include "nn/scaler.hpp"
 #include "nn/seq.hpp"
 #include "nn/seq_regressor.hpp"
 #include "nn/workspace.hpp"
@@ -506,6 +509,121 @@ TEST(ptm_workspace, independent_workspaces_agree_and_reuse_arena) {
   // The gauge reflects the arena's footprint.
   EXPECT_EQ(sink.metrics().gauge("nn.workspace_bytes"),
             static_cast<double>(ws.bytes()));
+}
+
+// ---------------------------------------------------------------------------
+// PTM front end: the fused pass, which scales each distinct feature row once,
+// is bit-identical to the per-element formula it replaced (copy, log1p,
+// transform_one) on make_windows output, on shuffled windows where nothing is
+// reused, and on signed zeros and constant features.
+
+constexpr std::size_t front_end_steps = 4;
+
+// Random feature rows with a constant scheduler one-hot and protocol, and a
+// priority of exactly +0.0, 1 or 2, so the fitted priority minimum is +0.0
+// and -0.0 scales to a different bit pattern than +0.0.
+std::vector<double> front_end_rows(std::size_t n, util::rng& rng) {
+  std::vector<double> rows(n * core::feature_count);
+  for (std::size_t r = 0; r < n; ++r) {
+    double* row = rows.data() + r * core::feature_count;
+    for (std::size_t f = 0; f < core::feature_count; ++f)
+      row[f] = rng.uniform(0.0, 2.0);
+    for (std::size_t f = core::f_sched_fifo; f <= core::f_sched_wfq; ++f)
+      row[f] = f == core::f_sched_fifo ? 1.0 : 0.0;
+    row[core::f_protocol] = 1.0;
+    row[core::f_priority] = static_cast<double>(rng.uniform_int(3));
+  }
+  return rows;
+}
+
+// The per-element front end, with the scaler fitted the same way.
+std::vector<double> logged_per_element(std::span<const double> windows) {
+  std::vector<double> out(windows.begin(), windows.end());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const double scale = core::feature_log_scale[i % core::feature_count];
+    if (scale > 0) out[i] = std::log1p(out[i] / scale);
+  }
+  return out;
+}
+
+std::vector<double> scaled_per_element(std::span<const double> windows,
+                                       const nn::min_max_scaler& scaler) {
+  std::vector<double> out = logged_per_element(windows);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = scaler.transform_one(i % core::feature_count, out[i]);
+  return out;
+}
+
+void expect_front_end_bit_identical(const char* input,
+                                    const core::ptm_model& model,
+                                    const nn::min_max_scaler& scaler,
+                                    std::span<const double> windows) {
+  SCOPED_TRACE(input);
+  const std::vector<double> reference = scaled_per_element(windows, scaler);
+  std::vector<double> fused(windows.size(), -1.0);
+  model.scale_windows_into(windows, fused);
+  EXPECT_EQ(std::memcmp(reference.data(), fused.data(),
+                        reference.size() * sizeof(double)),
+            0);
+}
+
+TEST(ptm_front_end, fused_scaling_is_bit_identical_to_per_element_formula) {
+  util::rng rng{33};
+  core::ptm_dataset data;
+  data.time_steps = front_end_steps;
+  data.windows = core::make_windows(front_end_rows(40, rng), front_end_steps);
+  data.targets.resize(data.count());
+  for (auto& v : data.targets) v = rng.uniform(1e-6, 1e-3);
+  core::ptm_config cfg;
+  cfg.time_steps = front_end_steps;
+  cfg.mlp_hidden = {8};
+  cfg.epochs = 1;
+  cfg.batch_size = 8;
+  core::ptm_model model{cfg};
+  (void)model.train(data);
+  // train() fits on the rows its own row-reusing log pass produced; the
+  // reference fits on the per-element log, so a fit that differs shows here.
+  nn::min_max_scaler scaler;
+  scaler.fit(logged_per_element(data.windows), core::feature_count);
+
+  // (a) make_windows output, where every window after the first reuses, and
+  // a series shorter than a window (front padding repeats the first row).
+  const auto windows = core::make_windows(front_end_rows(25, rng), front_end_steps);
+  expect_front_end_bit_identical("make_windows", model, scaler, windows);
+  expect_front_end_bit_identical(
+      "front padding", model, scaler,
+      core::make_windows(front_end_rows(2, rng), front_end_steps));
+
+  // (b) The same windows in shuffled order: no neighbour repeats.
+  const std::size_t window_size = front_end_steps * core::feature_count;
+  const std::size_t n = windows.size() / window_size;
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  rng.shuffle(order);
+  std::vector<double> shuffled(windows.size());
+  for (std::size_t i = 0; i < n; ++i)
+    std::copy_n(windows.begin() + static_cast<std::ptrdiff_t>(order[i] * window_size),
+                window_size, shuffled.begin() + static_cast<std::ptrdiff_t>(i * window_size));
+  expect_front_end_bit_identical("shuffled", model, scaler, shuffled);
+
+  // (c) Signed zeros: -0.0 and +0.0 compare equal but scale to different
+  // bits, so a window whose shared rows differ from its predecessor's only
+  // in the sign of a zero must not reuse them. Row 3 carries -0.0 length and
+  // priority in every window, and window 5 alone flips row 3's priority back
+  // to +0.0 (row 3 sits at position 1 of window 5 and position 2 of window 6).
+  auto rows = front_end_rows(12, rng);
+  rows[3 * core::feature_count + core::f_len] = -0.0;
+  rows[3 * core::feature_count + core::f_priority] = -0.0;
+  auto signed_zeros = core::make_windows(rows, front_end_steps);
+  const std::size_t flipped = (5 * front_end_steps + 1) * core::feature_count;
+  signed_zeros[flipped + core::f_priority] = 0.0;
+  const auto reference = scaled_per_element(signed_zeros, scaler);
+  ASSERT_FALSE(std::signbit(reference[flipped + core::f_priority]));
+  ASSERT_TRUE(std::signbit(reference[flipped + window_size - core::feature_count +
+                                     core::f_priority]));
+  // The constant features (scheduler one-hot, protocol) scale to 0.
+  EXPECT_EQ(reference[flipped + core::f_protocol], 0.0);
+  expect_front_end_bit_identical("signed zeros", model, scaler, signed_zeros);
 }
 
 }  // namespace

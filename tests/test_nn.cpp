@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "nn/adam.hpp"
 #include "nn/attention.hpp"
@@ -455,6 +456,94 @@ TEST(serialization, seq_regressor_rejects_more_layers_than_save_records) {
   seq_regressor_config cfg;
   cfg.lstm_hidden.assign(17, 2);
   EXPECT_THROW((seq_regressor{cfg, r}), std::invalid_argument);
+}
+
+// Size fields: a corrupt count or dimension is a typed error before anything
+// is allocated from it, never std::bad_alloc.
+TEST(serialization, mlp_load_rejects_oversized_layer_count) {
+  rng r{26};
+  const mlp net{{3, 4, 1}, activation::tanh, r};
+  std::stringstream buffer;
+  net.save(buffer);
+  std::string bytes = buffer.str();
+  bytes[4] = 1;  // leading u64 layer count: 2 -> 2^32 + 2
+  std::istringstream in{bytes};
+  mlp loaded;
+  EXPECT_THROW(loaded.load(in), dqn::util::contract_violation);
+}
+
+TEST(serialization, mlp_rejects_more_layers_than_load_accepts) {
+  rng r{27};
+  const std::vector<std::size_t> dims(mlp::max_layers + 2, 2);
+  EXPECT_THROW((mlp{dims, activation::tanh, r}), dqn::util::contract_violation);
+}
+
+// A saved 4-wide, 1-head attention layer: u64 head count, then the u64
+// model/key/value/out dims, then the weights.
+std::string saved_attention_layer() {
+  rng r{28};
+  attention_config cfg;
+  cfg.model_dim = 4;
+  cfg.heads = 1;
+  cfg.key_dim = 2;
+  cfg.value_dim = 2;
+  cfg.out_dim = 3;
+  const multi_head_attention layer{cfg, r};
+  std::stringstream buffer;
+  layer.save(buffer);
+  return buffer.str();
+}
+
+TEST(serialization, attention_load_rejects_oversized_model_dim) {
+  std::string bytes = saved_attention_layer();
+  bytes[8 + 4] = 0x7f;  // byte 4 of model_dim, the u64 after the head count
+  std::istringstream in{bytes};
+  multi_head_attention loaded;
+  EXPECT_THROW(loaded.load(in), dqn::util::contract_violation);
+}
+
+TEST(serialization, attention_load_rejects_weights_that_disagree_with_header) {
+  std::string bytes = saved_attention_layer();
+  bytes[8] = 5;  // model_dim 4 -> 5: in range, but the weights are 4 rows
+  std::istringstream in{bytes};
+  multi_head_attention loaded;
+  EXPECT_THROW(loaded.load(in), dqn::util::contract_violation);
+}
+
+TEST(serialization, scaler_load_rejects_oversized_feature_count) {
+  min_max_scaler scaler;
+  scaler.fit(std::vector<double>{0, 1, 2, 3, 4, 5}, 3);
+  std::stringstream buffer;
+  scaler.save(buffer);
+  std::string bytes = buffer.str();
+  bytes[4] = 1;  // leading u64 feature count: 3 -> 2^32 + 3
+  std::istringstream in{bytes};
+  min_max_scaler loaded;
+  EXPECT_THROW(loaded.load(in), dqn::util::contract_violation);
+}
+
+TEST(serialization, dense_load_rejects_bias_count_that_disagrees_with_weights) {
+  rng r{30};
+  const dense layer{3, 2, activation::relu, r};
+  std::stringstream buffer;
+  layer.save(buffer);
+  std::string bytes = buffer.str();
+  // Weight header (2 x u64) and 3x2 payload, then the u64 bias count.
+  bytes[16 + 6 * sizeof(double) + 4] = 1;
+  std::istringstream in{bytes};
+  dense loaded;
+  EXPECT_THROW(loaded.load(in), dqn::util::contract_violation);
+}
+
+TEST(serialization, load_matrix_rejects_oversized_element_count) {
+  const matrix m{2, 2};
+  std::stringstream buffer;
+  save_matrix(buffer, m);
+  std::string bytes = buffer.str();
+  bytes[3] = 1;      // rows 2 -> 2^24 + 2
+  bytes[8 + 3] = 1;  // cols 2 -> 2^24 + 2: each in range, the product not
+  std::istringstream in{bytes};
+  EXPECT_THROW((void)load_matrix(in), dqn::util::contract_violation);
 }
 
 TEST(serialization, mlp_roundtrip_preserves_outputs) {
