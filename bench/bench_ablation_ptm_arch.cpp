@@ -46,8 +46,10 @@ int main() {
     // Inference throughput on the exogenous windows, timed through the
     // delay-provider layer the engine itself dispatches through (the
     // non-owning alias keeps bundle.model in place).
-    core::ptm_delay_provider provider{std::shared_ptr<const core::ptm_model>{
-        &bundle.model, [](const core::ptm_model*) {}}};
+    core::delay_provider provider{
+        std::shared_ptr<const core::ptm_model>{&bundle.model,
+                                               [](const core::ptm_model*) {}},
+        des::delay_policy{}};
     util::stopwatch watch;
     const auto predictions = provider.predict_windows(exogenous.windows);
     const double us_per_window =

@@ -29,7 +29,7 @@ int main() {
     }
     // Window-level inference goes through the delay-provider layer
     // (scripts/lint.sh keeps ptm_model::predict private to src/core).
-    core::ptm_delay_provider provider{model};
+    core::delay_provider provider{model, des::delay_policy{}};
     const auto raw = provider.predict_windows(eval.windows, /*apply_sec=*/false);
 
     // Bin by predicted sojourn (log-spaced) and report mean relative error.

@@ -123,10 +123,9 @@ tiered_comparison compare_tiered(const bench::scenario& s,
     request.horizon = s.horizon;
     *deliveries = net->run(request).deliveries.size();
     const auto& engine = dynamic_cast<const core::dqn_network&>(*net);
-    if (const auto* tiered = dynamic_cast<const core::tiered_delay_provider*>(
-            &engine.provider());
-        tiered != nullptr)
-      out.analytical_fraction = tiered->stats().analytical_fraction();
+    if (backend == des::delay_backend::tiered)
+      out.analytical_fraction =
+          engine.provider().stats().analytical_fraction();
     return engine.stats().wall_seconds;
   };
   out.ptm_wall = measured_wall(des::delay_backend::ptm, &out.ptm_deliveries);

@@ -55,8 +55,10 @@ int main() {
   std::vector<double> last(windows.end() - window_values, windows.end());
   // Inference through the delay-provider layer (ptm_model::predict stays
   // private to src/core); the no-op deleter aliases the in-place model.
-  const core::ptm_delay_provider provider{std::shared_ptr<const core::ptm_model>{
-      &bundle.model, [](const core::ptm_model*) {}}};
+  const core::delay_provider provider{
+      std::shared_ptr<const core::ptm_model>{&bundle.model,
+                                             [](const core::ptm_model*) {}},
+      des::delay_policy{}};
   const auto sojourn = provider.predict_windows(last);
   std::printf("predicted sojourn of the window's final packet: %.2f us\n\n",
               sojourn.back() * 1e6);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/sink.hpp"
@@ -24,76 +26,87 @@ std::size_t row_count(const device_state& state) {
 
 }  // namespace
 
-void delay_provider::bind_sink(obs::sink* /*sink*/) {}
-void delay_provider::prepare(std::size_t /*device_slots*/) {}
-void delay_provider::publish(obs::sink& /*sink*/) {}
-
 std::unique_ptr<delay_provider> make_delay_provider(
     std::shared_ptr<const ptm_model> ptm, const des::delay_policy& policy) {
-  switch (policy.backend) {
+  return std::make_unique<delay_provider>(std::move(ptm), policy);
+}
+
+delay_provider::delay_provider(std::shared_ptr<const ptm_model> ptm,
+                               des::delay_policy policy)
+    : ptm_{std::move(ptm)}, policy_{policy} {
+  switch (policy_.backend) {
     case des::delay_backend::ptm:
-      return std::make_unique<ptm_delay_provider>(std::move(ptm));
+      policy_.utilization_threshold = 0;  // strict "<": never analytical
+      break;
     case des::delay_backend::analytical:
-      return std::make_unique<analytical_delay_provider>();
-    case des::delay_backend::tiered:
-      return std::make_unique<tiered_delay_provider>(std::move(ptm), policy);
+      policy_.utilization_threshold = std::numeric_limits<double>::infinity();
+      policy_.error_budget = 0;  // never probes the PTM
+      break;
+    case des::delay_backend::tiered: break;
   }
-  throw std::invalid_argument{"make_delay_provider: unknown backend"};
+  if (policy_.backend != des::delay_backend::analytical &&
+      (!ptm_ || !ptm_->trained()))
+    throw std::invalid_argument{std::string{"delay_provider: backend '"} +
+                                name() + "' needs a trained PTM"};
+  DQN_ENSURE(policy_.utilization_threshold >= 0,
+             "delay_provider: threshold must be >= 0 (got ",
+             policy_.utilization_threshold, ")");
+  DQN_ENSURE(policy_.hysteresis >= 0,
+             "delay_provider: hysteresis must be >= 0 (got ",
+             policy_.hysteresis, ")");
 }
 
-// ---------------------------------------------------------------------------
-// PTM backend
-// ---------------------------------------------------------------------------
-
-ptm_delay_provider::ptm_delay_provider(std::shared_ptr<const ptm_model> ptm)
-    : ptm_{std::move(ptm)} {
-  if (!ptm_ || !ptm_->trained())
-    throw std::invalid_argument{"ptm_delay_provider: needs a trained PTM"};
-}
-
-void ptm_delay_provider::bind_sink(obs::sink* sink) {
-  predicted_sojourn_ =
+void delay_provider::bind_sink(obs::sink* sink) {
+  ptm_sojourn_ =
       sink != nullptr
           ? sink->histogram_handle_for("delay.ptm.predicted_sojourn_seconds")
           : obs::histogram_handle{};
-}
-
-std::vector<double> ptm_delay_provider::predict_windows(
-    std::span<const double> windows, bool apply_sec,
-    std::vector<double>* raw_out) const {
-  nn::workspace ws;
-  return ptm_->predict(windows, ws, apply_sec, raw_out);
-}
-
-std::vector<double> ptm_delay_provider::estimate_sojourn(
-    const device_state& state, double /*window_seconds*/) {
-  const auto windows =
-      make_windows(state.feature_rows, ptm_->config().time_steps);
-  std::optional<nn::workspace> local;
-  nn::workspace& ws =
-      state.workspace != nullptr ? *state.workspace : local.emplace();
-  auto sojourns = ptm_->predict(windows, ws, state.apply_sec, state.raw_out);
-  if (predicted_sojourn_)
-    for (const double s : sojourns) predicted_sojourn_.observe(s);
-  return sojourns;
-}
-
-// ---------------------------------------------------------------------------
-// Analytical backend
-// ---------------------------------------------------------------------------
-
-void analytical_delay_provider::bind_sink(obs::sink* sink) {
-  predicted_sojourn_ =
+  analytical_sojourn_ =
       sink != nullptr
           ? sink->histogram_handle_for(
                 "delay.analytical.predicted_sojourn_seconds")
           : obs::histogram_handle{};
 }
 
-std::vector<double> analytical_delay_provider::estimate_sojourn(
-    const device_state& state, double /*window_seconds*/) {
+void delay_provider::prepare(std::size_t device_slots) {
+  // Slot 0 is the host-NIC pseudo-device (device id -1); hysteresis and
+  // budget state survive across IRSA iterations but not across prepare().
+  tiers_.assign(device_slots, device_tier{});
+}
+
+std::vector<double> delay_provider::predict_windows(
+    std::span<const double> windows, bool apply_sec,
+    std::vector<double>* raw_out) const {
+  DQN_ENSURE(ptm_ != nullptr, "delay_provider::predict_windows: no PTM");
+  nn::workspace ws;
+  return ptm_->predict(windows, ws, apply_sec, raw_out);
+}
+
+// ---------------------------------------------------------------------------
+// PTM tier
+// ---------------------------------------------------------------------------
+
+std::vector<double> delay_provider::ptm_sojourns(const device_state& state) {
+  DQN_ENSURE(ptm_ != nullptr, "delay_provider: PTM tier chosen without a PTM");
+  const auto windows =
+      make_windows(state.feature_rows, ptm_->config().time_steps);
+  std::optional<nn::workspace> local;
+  nn::workspace& ws =
+      state.workspace != nullptr ? *state.workspace : local.emplace();
+  auto sojourns = ptm_->predict(windows, ws, state.apply_sec, state.raw_out);
+  if (ptm_sojourn_)
+    for (const double s : sojourns) ptm_sojourn_.observe(s);
+  return sojourns;
+}
+
+// ---------------------------------------------------------------------------
+// Analytical tier
+// ---------------------------------------------------------------------------
+
+std::vector<double> delay_provider::analytical_sojourns(
+    const device_state& state) {
   DQN_ENSURE(state.ctx != nullptr,
-             "analytical_delay_provider: device_state.ctx is required");
+             "delay_provider: device_state.ctx is required");
   const std::size_t n = row_count(state);
   // Pick the closed-form wait for the discipline. FIFO's Lindley unfinished
   // work is the *exact* waiting time; SP's own-or-higher-class work is the
@@ -109,16 +122,16 @@ std::vector<double> analytical_delay_provider::estimate_sojourn(
   for (std::size_t i = 0; i < n; ++i) {
     const double wait = state.feature_rows[i * feature_count + column];
     DQN_INVARIANT(wait >= 0 && std::isfinite(wait),
-                  "analytical_delay_provider: bad feature wait ", wait);
+                  "delay_provider: bad feature wait ", wait);
     sojourns[i] = wait;
   }
-  if (predicted_sojourn_)
-    for (const double s : sojourns) predicted_sojourn_.observe(s);
+  if (analytical_sojourn_)
+    for (const double s : sojourns) analytical_sojourn_.observe(s);
   if (state.raw_out != nullptr) *state.raw_out = sojourns;  // no SEC stage
   return sojourns;
 }
 
-std::vector<double> analytical_delay_provider::ldqbd_reference_waits(
+std::vector<double> delay_provider::ldqbd_reference_waits(
     const scheduler_context& ctx, double lambda_pps, double mean_packet_bytes,
     std::size_t classes, std::size_t truncation_level) {
   DQN_ENSURE(lambda_pps > 0, "ldqbd_reference_waits: lambda must be > 0 (got ",
@@ -157,33 +170,11 @@ std::vector<double> analytical_delay_provider::ldqbd_reference_waits(
 }
 
 // ---------------------------------------------------------------------------
-// Tiered backend
+// Tier routing
 // ---------------------------------------------------------------------------
 
-tiered_delay_provider::tiered_delay_provider(
-    std::shared_ptr<const ptm_model> ptm, des::delay_policy policy)
-    : ptm_{std::move(ptm)}, policy_{policy} {
-  DQN_ENSURE(policy_.utilization_threshold >= 0,
-             "tiered_delay_provider: threshold must be >= 0 (got ",
-             policy_.utilization_threshold, ")");
-  DQN_ENSURE(policy_.hysteresis >= 0,
-             "tiered_delay_provider: hysteresis must be >= 0 (got ",
-             policy_.hysteresis, ")");
-}
-
-void tiered_delay_provider::bind_sink(obs::sink* sink) {
-  ptm_.bind_sink(sink);
-  analytical_.bind_sink(sink);
-}
-
-void tiered_delay_provider::prepare(std::size_t device_slots) {
-  // Slot 0 is the host-NIC pseudo-device (device id -1); hysteresis and
-  // budget state survive across IRSA iterations but not across prepare().
-  tiers_.assign(device_slots, device_tier{});
-}
-
-tiered_delay_provider::tier tiered_delay_provider::decide(std::size_t slot,
-                                                          double utilization) {
+delay_provider::tier delay_provider::decide(std::size_t slot,
+                                            double utilization) {
   const double threshold = policy_.utilization_threshold;
   const double band = policy_.hysteresis;
   // Strict comparison: threshold 0 means "never analytical" (pure PTM) even
@@ -214,8 +205,8 @@ tiered_delay_provider::tier tiered_delay_provider::decide(std::size_t slot,
   return state.current;
 }
 
-std::vector<double> tiered_delay_provider::estimate_sojourn(
-    const device_state& state, double window_seconds) {
+std::vector<double> delay_provider::estimate_sojourn(
+    const device_state& state, double /*window_seconds*/) {
   const std::size_t n = row_count(state);
   const std::size_t slot = static_cast<std::size_t>(state.device + 1);
   tier chosen = decide(slot, state.utilization);
@@ -229,8 +220,8 @@ std::vector<double> tiered_delay_provider::estimate_sojourn(
     tiers_[slot].budget_checked = true;
     device_state probe = state;
     probe.raw_out = nullptr;
-    const auto analytical = analytical_.estimate_sojourn(probe, window_seconds);
-    const auto learned = ptm_.estimate_sojourn(state, window_seconds);
+    const auto analytical = analytical_sojourns(probe);
+    const auto learned = ptm_sojourns(state);
     analytical_calls_.fetch_add(1, std::memory_order_relaxed);
     ptm_calls_.fetch_add(1, std::memory_order_relaxed);
     double mean_analytical = 0;
@@ -264,14 +255,14 @@ std::vector<double> tiered_delay_provider::estimate_sojourn(
   if (chosen == tier::ptm) {
     ptm_calls_.fetch_add(1, std::memory_order_relaxed);
     ptm_packets_.fetch_add(n, std::memory_order_relaxed);
-    return ptm_.estimate_sojourn(state, window_seconds);
+    return ptm_sojourns(state);
   }
   analytical_calls_.fetch_add(1, std::memory_order_relaxed);
   analytical_packets_.fetch_add(n, std::memory_order_relaxed);
-  return analytical_.estimate_sojourn(state, window_seconds);
+  return analytical_sojourns(state);
 }
 
-tiered_delay_provider::tier_stats tiered_delay_provider::stats() const noexcept {
+delay_provider::tier_stats delay_provider::stats() const noexcept {
   tier_stats s;
   s.analytical_packets = analytical_packets_.load(std::memory_order_relaxed);
   s.ptm_packets = ptm_packets_.load(std::memory_order_relaxed);
@@ -283,7 +274,7 @@ tiered_delay_provider::tier_stats tiered_delay_provider::stats() const noexcept 
   return s;
 }
 
-void tiered_delay_provider::publish(obs::sink& sink) {
+void delay_provider::publish(obs::sink& sink) {
   // Counters are monotone totals; emit the delta since the last publish so a
   // sink shared across runs accumulates correctly. The fraction is the
   // lifetime ratio (a gauge: last write wins).

@@ -1,23 +1,24 @@
-// Device-level delay providers: the tiered-estimation layer between the
+// Device-level delay provider: the tiered-estimation layer between the
 // engine's per-device inference loop and the sojourn models it can ride on
-// (ROADMAP "tiered estimation"; the interface mirrors Sniper's QueueModel
-// hierarchy — one computeQueueDelay-style virtual, interchangeable backends,
-// and a counter for the fraction served analytically).
+// (ROADMAP "tiered estimation"; modelled on Sniper's QueueModelHistoryList —
+// one queue model whose analytical and detailed paths are private members,
+// plus a counter for the fraction served analytically).
 //
-// Three backends implement the interface:
-//  * ptm_delay_provider       — the paper's learned PTM (+ SEC correction),
-//                               exactly the pre-redesign inference path;
-//  * analytical_delay_provider — queueing-theoretic closed forms evaluated
-//                               per packet from the Lindley features the
-//                               feature stage already computes (exact FIFO
-//                               waits; SP/GPS priors for the rest), with the
-//                               LDQBD/MAP machinery of src/queueing as the
-//                               stationary reference (queueing/sojourn.hpp);
-//  * tiered_delay_provider    — routes each device per iteration by a
-//                               utilization threshold with hysteresis plus a
-//                               one-shot error-budget spot check
-//                               (des::delay_policy), so cold devices skip
-//                               DNN inference entirely.
+// One class serves every backend; des::delay_policy::backend is a policy, not
+// a type:
+//  * ptm        — the paper's learned PTM (+ SEC correction): the tier policy
+//                 at threshold 0, so no window is ever served analytically;
+//  * analytical — queueing-theoretic closed forms evaluated per packet from
+//                 the Lindley features the feature stage already computes
+//                 (exact FIFO waits; SP/GPS priors for the rest), with the
+//                 LDQBD/MAP machinery of src/queueing as the stationary
+//                 reference (queueing/sojourn.hpp): the tier policy at
+//                 threshold +inf with no error budget, so the PTM never runs
+//                 and none is needed;
+//  * tiered     — the policy as given: routes each device per iteration by a
+//                 utilization threshold with hysteresis plus a one-shot
+//                 error-budget spot check, so cold devices skip DNN inference
+//                 entirely.
 //
 // Threading contract (matches the engine's partition loop): estimate_sojourn
 // may be called concurrently for *different* devices; two concurrent calls
@@ -58,110 +59,15 @@ struct device_state {
   // brought by the series divided by the span it arrives in (0 for a
   // single-packet window; may exceed 1 under overload).
   double utilization = 0;
-  bool apply_sec = true;            // §6.1 ablation flag (PTM backend only)
+  bool apply_sec = true;            // §6.1 ablation flag (PTM tier only)
   nn::workspace* workspace = nullptr;  // caller-owned inference arena
   // Pre-correction sojourns for journey tracing (same length as the return
-  // value); backends without a correction stage echo their estimates.
+  // value); the analytical tier has no correction stage and echoes its
+  // estimates.
   std::vector<double>* raw_out = nullptr;
 };
 
 class delay_provider {
- public:
-  virtual ~delay_provider() = default;
-
-  // Predicted sojourn seconds (scheduler waiting time), one per packet in
-  // state.arrivals, over the observation window `window_seconds`.
-  [[nodiscard]] virtual std::vector<double> estimate_sojourn(
-      const device_state& state, double window_seconds) = 0;
-
-  // Short stable identifier: "ptm", "analytical", "tiered".
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-
-  // Run boundary: resolve lock-free metric handles against `sink` (nullptr
-  // detaches). The engine calls this once per run, before any estimates.
-  virtual void bind_sink(obs::sink* sink);
-
-  // Run boundary: size per-device state for ids in [-1, device_slots - 1).
-  // Stateless backends ignore it.
-  virtual void prepare(std::size_t device_slots);
-
-  // Run boundary: export counters/gauges accumulated since the last publish
-  // (the engine calls this at the end of every sunk run).
-  virtual void publish(obs::sink& sink);
-};
-
-// Construct the backend selected by `policy` over a shared trained PTM.
-[[nodiscard]] std::unique_ptr<delay_provider> make_delay_provider(
-    std::shared_ptr<const ptm_model> ptm, const des::delay_policy& policy);
-
-// ---------------------------------------------------------------------------
-// Learned backend: windows the feature rows and runs ptm_model::predict
-// (+ SEC). This class is the only first-party predict call site outside the
-// PTM itself — scripts/lint.sh enforces that everything else goes through a
-// provider.
-// ---------------------------------------------------------------------------
-class ptm_delay_provider final : public delay_provider {
- public:
-  explicit ptm_delay_provider(std::shared_ptr<const ptm_model> ptm);
-
-  [[nodiscard]] std::vector<double> estimate_sojourn(
-      const device_state& state, double window_seconds) override;
-  [[nodiscard]] const char* name() const noexcept override { return "ptm"; }
-  void bind_sink(obs::sink* sink) override;
-
-  // Window-level access for model-study code (SEC residual figures, PTM
-  // ablations, attention inspection): same contract as ptm_model::predict
-  // on a fresh workspace, routed through the provider so the lint rule holds
-  // tree-wide.
-  [[nodiscard]] std::vector<double> predict_windows(
-      std::span<const double> windows, bool apply_sec = true,
-      std::vector<double>* raw_out = nullptr) const;
-
-  [[nodiscard]] const std::shared_ptr<const ptm_model>& model() const noexcept {
-    return ptm_;
-  }
-
- private:
-  std::shared_ptr<const ptm_model> ptm_;
-  obs::histogram_handle predicted_sojourn_;  // delay.ptm.predicted_sojourn_*
-};
-
-// ---------------------------------------------------------------------------
-// Analytical backend: per-packet closed forms from the raw feature rows.
-// FIFO waits are the exact Lindley unfinished work; strict priority uses the
-// own-or-higher-class work (the W_0 bound of §3.2.2's prior-knowledge
-// clamp); weighted schedulers use the GPS wait estimate. No DNN, no SEC —
-// cost is one table read per packet.
-// ---------------------------------------------------------------------------
-class analytical_delay_provider final : public delay_provider {
- public:
-  analytical_delay_provider() = default;
-
-  [[nodiscard]] std::vector<double> estimate_sojourn(
-      const device_state& state, double window_seconds) override;
-  [[nodiscard]] const char* name() const noexcept override {
-    return "analytical";
-  }
-  void bind_sink(obs::sink* sink) override;
-
-  // Stationary per-class mean waits for `ctx`'s discipline at arrival rate
-  // `lambda_pps`, from the Appendix-B LDQBD model fed by a Poisson MAP
-  // (queueing/sojourn.hpp adapter): the slow-but-exact reference the tests
-  // hold this backend's empirical means against. `classes` <= 1 collapses to
-  // single-class (M/M/1-like) service.
-  [[nodiscard]] static std::vector<double> ldqbd_reference_waits(
-      const scheduler_context& ctx, double lambda_pps, double mean_packet_bytes,
-      std::size_t classes = 1, std::size_t truncation_level = 30);
-
- private:
-  // delay.analytical.predicted_sojourn_seconds
-  obs::histogram_handle predicted_sojourn_;
-};
-
-// ---------------------------------------------------------------------------
-// Tiered backend: per-device dispatch between the two above.
-// ---------------------------------------------------------------------------
-class tiered_delay_provider final : public delay_provider {
  public:
   struct tier_stats {
     std::uint64_t analytical_packets = 0;
@@ -181,20 +87,54 @@ class tiered_delay_provider final : public delay_provider {
     }
   };
 
-  tiered_delay_provider(std::shared_ptr<const ptm_model> ptm,
-                        des::delay_policy policy);
+  // Maps policy.backend onto the tier policy (see the header comment). Every
+  // backend but `analytical` needs a trained PTM (std::invalid_argument).
+  delay_provider(std::shared_ptr<const ptm_model> ptm, des::delay_policy policy);
 
-  [[nodiscard]] std::vector<double> estimate_sojourn(
-      const device_state& state, double window_seconds) override;
-  [[nodiscard]] const char* name() const noexcept override { return "tiered"; }
-  void bind_sink(obs::sink* sink) override;
-  void prepare(std::size_t device_slots) override;
-  void publish(obs::sink& sink) override;
+  // Predicted sojourn seconds (scheduler waiting time), one per packet in
+  // state.arrivals, over the observation window `window_seconds`.
+  [[nodiscard]] std::vector<double> estimate_sojourn(const device_state& state,
+                                                     double window_seconds);
 
+  // Short stable identifier: "ptm", "analytical", "tiered".
+  [[nodiscard]] const char* name() const noexcept {
+    return des::to_string(policy_.backend);
+  }
+
+  // Run boundary: resolve lock-free metric handles against `sink` (nullptr
+  // detaches). The engine calls this once per run, before any estimates.
+  void bind_sink(obs::sink* sink);
+
+  // Run boundary: size per-device tier state for ids in
+  // [-1, device_slots - 1).
+  void prepare(std::size_t device_slots);
+
+  // Run boundary: export the tiered.* counters and gauge accumulated since
+  // the last publish (the engine calls this at the end of every sunk run).
+  void publish(obs::sink& sink);
+
+  // The effective tier policy, after the backend mapping.
   [[nodiscard]] const des::delay_policy& policy() const noexcept {
     return policy_;
   }
   [[nodiscard]] tier_stats stats() const noexcept;
+
+  // Window-level access for model-study code (SEC residual figures, PTM
+  // ablations, attention inspection): same contract as ptm_model::predict
+  // on a fresh workspace, routed through the provider so the lint rule holds
+  // tree-wide.
+  [[nodiscard]] std::vector<double> predict_windows(
+      std::span<const double> windows, bool apply_sec = true,
+      std::vector<double>* raw_out = nullptr) const;
+
+  // Stationary per-class mean waits for `ctx`'s discipline at arrival rate
+  // `lambda_pps`, from the Appendix-B LDQBD model fed by a Poisson MAP
+  // (queueing/sojourn.hpp adapter): the slow-but-exact reference the tests
+  // hold the analytical tier's empirical means against. `classes` <= 1
+  // collapses to single-class (M/M/1-like) service.
+  [[nodiscard]] static std::vector<double> ldqbd_reference_waits(
+      const scheduler_context& ctx, double lambda_pps, double mean_packet_bytes,
+      std::size_t classes = 1, std::size_t truncation_level = 30);
 
  private:
   enum class tier : std::uint8_t { unset, analytical, ptm };
@@ -210,10 +150,26 @@ class tiered_delay_provider final : public delay_provider {
   // stateless threshold decision (no hysteresis memory).
   tier decide(std::size_t slot, double utilization);
 
-  ptm_delay_provider ptm_;
-  analytical_delay_provider analytical_;
+  // Learned tier: windows the feature rows and runs ptm_model::predict
+  // (+ SEC). This is the only first-party predict call site outside the PTM
+  // itself — scripts/lint.sh enforces that everything else goes through a
+  // provider.
+  [[nodiscard]] std::vector<double> ptm_sojourns(const device_state& state);
+
+  // Analytical tier: per-packet closed forms from the raw feature rows. FIFO
+  // waits are the exact Lindley unfinished work; strict priority uses the
+  // own-or-higher-class work (the W_0 bound of §3.2.2's prior-knowledge
+  // clamp); weighted schedulers use the GPS wait estimate. No DNN, no SEC —
+  // cost is one table read per packet.
+  [[nodiscard]] std::vector<double> analytical_sojourns(
+      const device_state& state);
+
+  std::shared_ptr<const ptm_model> ptm_;
   des::delay_policy policy_;
   std::vector<device_tier> tiers_;  // slot = device id + 1 (-1 = host NIC)
+  obs::histogram_handle ptm_sojourn_;  // delay.ptm.predicted_sojourn_seconds
+  // delay.analytical.predicted_sojourn_seconds
+  obs::histogram_handle analytical_sojourn_;
 
   std::atomic<std::uint64_t> analytical_packets_{0};
   std::atomic<std::uint64_t> ptm_packets_{0};
@@ -228,5 +184,9 @@ class tiered_delay_provider final : public delay_provider {
   util::mutex publish_mutex_;
   tier_stats published_ DQN_GUARDED_BY(publish_mutex_){};
 };
+
+// Construct the provider selected by `policy` over a shared trained PTM.
+[[nodiscard]] std::unique_ptr<delay_provider> make_delay_provider(
+    std::shared_ptr<const ptm_model> ptm, const des::delay_policy& policy);
 
 }  // namespace dqn::core

@@ -56,7 +56,7 @@ DQN_HOT_PATH void project_departures(const traffic::packet_stream& queue,
 }  // namespace
 
 device_model::device_model(std::shared_ptr<const ptm_model> ptm, scheduler_context ctx)
-    : fallback_{std::move(ptm)}, ctx_{std::move(ctx)} {}
+    : fallback_{std::move(ptm), des::delay_policy{}}, ctx_{std::move(ctx)} {}
 
 std::vector<traffic::packet_stream> device_model::process(
     const std::vector<traffic::packet_stream>& ingress, const forward_fn& forward,

@@ -80,11 +80,12 @@ class device_model {
   [[nodiscard]] const scheduler_context& context() const noexcept { return ctx_; }
 
  private:
-  // Fallback backend when process() receives no provider: the shared PTM
-  // behind the classic interface. Providers carry per-call metric state, so
-  // the member is mutable; estimate_sojourn on the PTM backend is
-  // thread-safe (the handles record through relaxed atomics).
-  mutable ptm_delay_provider fallback_;
+  // Fallback provider when process() receives none: the default policy (the
+  // PTM backend) over the shared PTM. Providers carry per-call counters, so
+  // the member is mutable; it is never prepared, so every call takes the
+  // stateless tier decision and is thread-safe (the counters and handles
+  // record through relaxed atomics).
+  mutable delay_provider fallback_;
   scheduler_context ctx_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -51,7 +52,7 @@ dqn_network::dqn_network(const topo::topology& topo, const topo::routing& routes
     : topo_{&topo},
       routes_{&routes},
       ptm_{ptm},
-      provider_{make_delay_provider(ptm, config.delay)},
+      provider_{ptm, config.delay},
       device_{ptm, std::move(ctx)},
       host_nic_{std::move(ptm),
                 scheduler_context{des::scheduler_kind::fifo, {},
@@ -73,7 +74,9 @@ void dqn_network::set_device_context(topo::node_id node, scheduler_context ctx) 
         "must be installed before the first run (they do not apply "
         "retroactively)"};
   (void)topo_->at(node);  // bounds check
-  device_overrides_.insert_or_assign(node, device_model{ptm_, std::move(ctx)});
+  // Providers (and so device models) are not movable: replace in place.
+  device_overrides_.erase(node);
+  device_overrides_.try_emplace(node, ptm_, std::move(ctx));
 }
 
 traffic::packet_stream dqn_network::ingress_of(
@@ -89,6 +92,13 @@ traffic::packet_stream dqn_network::ingress_of(
 
 des::run_result dqn_network::run(
     const std::vector<traffic::packet_stream>& host_streams, double horizon) {
+  return execute(host_streams, horizon, config_.sink, provider_,
+                 config_.partitions);
+}
+
+des::run_result dqn_network::execute(
+    const std::vector<traffic::packet_stream>& host_streams, double horizon,
+    obs::sink* const sink, delay_provider& provider, std::size_t partitions) {
   const auto hosts = topo_->hosts();
   const auto devices = topo_->devices();
   DQN_ENSURE(host_streams.size() == hosts.size(),
@@ -98,11 +108,6 @@ des::run_result dqn_network::run(
   util::stopwatch watch;
   stats_ = {};
   ran_ = true;
-  obs::sink* const sink = config_.sink;
-  // Opt-in live telemetry: idempotent, so repeated runs against the same
-  // sink reuse the already-running sampler/endpoint.
-  if (sink != nullptr && config_.telemetry.enabled)
-    sink->start_telemetry(config_.telemetry);
   obs::scoped_timer run_timer{sink, "engine", "run"};
   // Hot-path metrics go through pre-resolved handles (lock-free to record);
   // journey tracing is active only when the sink's tracer was configured.
@@ -123,8 +128,8 @@ des::run_result dqn_network::run(
   }
   // Arm the sojourn backend for this run: resolve its metric handles and
   // size its per-device tiering state (slot 0 = the host-NIC pseudo-device).
-  provider_->bind_sink(sink);
-  provider_->prepare(topo_->node_count() + 1);
+  provider.bind_sink(sink);
+  provider.prepare(topo_->node_count() + 1);
 
   // SInit: place the injected streams as the hosts' (fixed) egress streams,
   // translating host indices to node ids.
@@ -156,7 +161,7 @@ des::run_result dqn_network::run(
         tracer->record_send(pkt.pid, pkt.flow_id, ev.time);
       out.push_back({pkt, ev.time});
     }
-    if (config_.model_host_nics && !out.empty()) {
+    if (!out.empty()) {
       // NIC queueing prediction: the host's single FIFO egress queue at the
       // access link's rate.
       const double nic_bps =
@@ -165,7 +170,7 @@ des::run_result dqn_network::run(
       auto egress_streams = host_nic_.process(
           {out}, [](std::uint32_t, std::size_t) { return std::size_t{0}; },
           config_.apply_sec, nullptr, nullptr, bandwidths, nullptr, sink,
-          &host_nic_workspace, provider_.get(), /*device_id=*/-1,
+          &host_nic_workspace, &provider, /*device_id=*/-1,
           /*iteration=*/0);
       out = std::move(egress_streams[0]);
     }
@@ -178,15 +183,15 @@ des::run_result dqn_network::run(
   std::vector<std::vector<predicted_hop>> device_hops(topo_->node_count());
   std::vector<std::vector<traffic::packet>> device_drops(topo_->node_count());
 
-  const std::size_t max_iterations =
-      config_.max_iterations > 0 ? config_.max_iterations : 1 + topo_->diameter();
+  // Theorem 3.1: IRSA reaches its fixed point within 1 + diameter(G).
+  const std::size_t max_iterations = 1 + topo_->diameter();
 
   // Shard the devices across the persistent worker pool. The topology
   // strategy (default) BFS-grows connected shards so boundary windows mostly
   // stay worker-local; round_robin remains the legacy interleaving. Results
   // are identical either way — the shard only decides where a device runs.
   const std::size_t workers =
-      std::max<std::size_t>(1, std::min(config_.partitions, devices.size()));
+      std::max<std::size_t>(1, std::min(partitions, devices.size()));
   util::work_stealing_pool& pool = ensure_pool(workers);
   const topo::shard_plan plan =
       topo::shard_devices(*topo_, devices, workers, config_.sharding);
@@ -323,7 +328,7 @@ des::run_result dqn_network::run(
         write[n] = model->process(ingress, forward_by_flow, config_.apply_sec,
                                   hops, &device_drops[n], port_bandwidths,
                                   tracer != nullptr ? &capture : nullptr, sink,
-                                  &worker_workspaces[worker], provider_.get(),
+                                  &worker_workspaces[worker], &provider,
                                   static_cast<std::int64_t>(node), iteration);
         device_span.set_value(1.0);  // 1 = inferred (skips end with value 0)
         device_seconds_handle.observe(device_span.stop());
@@ -429,7 +434,7 @@ des::run_result dqn_network::run(
   result.wall_seconds = stats_.wall_seconds;
   if (sink != nullptr) {
     stats_.publish(*sink);
-    provider_->publish(*sink);
+    provider.publish(*sink);
     sink->count("engine.deliveries", static_cast<double>(result.deliveries.size()));
     sink->count("engine.drops", static_cast<double>(result.drops));
   }
@@ -439,39 +444,21 @@ des::run_result dqn_network::run(
 des::run_result dqn_network::run(const des::run_request& request) {
   DQN_ENSURE(request.host_streams != nullptr,
              "dqn_network::run: request.host_streams is null");
-  obs::sink* const saved = config_.sink;
-  if (request.sink != nullptr) config_.sink = request.sink;
+  obs::sink* const sink =
+      request.sink != nullptr ? request.sink : config_.sink;
   const des::delay_backend backend =
       request.delay.has_value() ? request.delay->backend
                                 : config_.delay.backend;
-  des::run_recorder recorder{config_.sink, estimator_name(),
-                             des::to_string(backend)};
-  // A per-run delay policy swaps in a fresh provider for this run only,
-  // restored alongside the sink (the same save/swap/restore contract).
-  std::unique_ptr<delay_provider> saved_provider;
-  if (request.delay.has_value()) {
-    saved_provider = std::move(provider_);
-    provider_ = make_delay_provider(ptm_, *request.delay);
-  }
-  // Per-run worker override (run_request::threads), same contract: the
-  // configured partition count is restored when the run returns. The
-  // persistent pool is rebuilt lazily by ensure_pool when the size changes.
-  const std::size_t saved_partitions = config_.partitions;
-  if (request.threads > 0) config_.partitions = request.threads;
-  const auto restore = [&] {
-    config_.sink = saved;
-    config_.partitions = saved_partitions;
-    if (saved_provider != nullptr) provider_ = std::move(saved_provider);
-  };
-  try {
-    des::run_result result = run(*request.host_streams, request.horizon);
-    recorder.complete(result);
-    restore();
-    return result;
-  } catch (...) {
-    restore();
-    throw;
-  }
+  des::run_recorder recorder{sink, estimator_name(), des::to_string(backend)};
+  // A per-run delay policy gets a fresh provider that lives for this run.
+  std::optional<delay_provider> per_run;
+  if (request.delay.has_value()) per_run.emplace(ptm_, *request.delay);
+  des::run_result result = execute(
+      *request.host_streams, request.horizon, sink,
+      per_run.has_value() ? *per_run : provider_,
+      request.threads > 0 ? request.threads : config_.partitions);
+  recorder.complete(result);
+  return result;
 }
 
 const traffic::packet_stream& dqn_network::egress_stream(topo::node_id node,

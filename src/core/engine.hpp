@@ -26,7 +26,6 @@
 #include "core/device_model.hpp"
 #include "des/records.hpp"
 #include "des/run_api.hpp"
-#include "obs/telemetry/telemetry_config.hpp"
 #include "topo/graph.hpp"
 #include "topo/routing.hpp"
 #include "topo/sharding.hpp"
@@ -45,15 +44,10 @@ namespace dqn::core {
 //   const core::engine_config cfg{.partitions = 4, .apply_sec = false,
 //                                 .sink = &sink};
 struct engine_config {
-  std::size_t partitions = 1;      // "number of GPUs"
-  std::size_t max_iterations = 0;  // 0 = 1 + diameter(G) (Theorem 3.1)
-  bool apply_sec = true;           // §6.1 ablation hook
+  std::size_t partitions = 1;  // "number of GPUs"
+  bool apply_sec = true;       // §6.1 ablation hook
   double convergence_epsilon = 1e-9;
-  bool record_hops = false;        // per-device predicted hops (visibility)
-  // Model host NICs as single-queue FIFO devices (the DES does): the PTM
-  // predicts the NIC queueing each injected stream experiences before its
-  // first link. Computed once — injections are fixed across IRSA iterations.
-  bool model_host_nics = true;
+  bool record_hops = false;    // per-device predicted hops (visibility)
   // Skip re-inferring devices whose ingress did not change since the last
   // iteration (a work-saving refinement over the paper's Algorithm 1, which
   // recomputes every device each iteration). Disable to measure the paper's
@@ -69,11 +63,6 @@ struct engine_config {
   // tiered policy that routes each device by utilization. A run_request may
   // override this per run (des::run_request::delay).
   des::delay_policy delay{};
-  // Opt-in live telemetry (obs/telemetry/): with enabled == true and a
-  // non-null sink, run() idempotently starts the sink's background sampler
-  // (and, when telemetry.metrics_port >= 0, the /metrics endpoint) before
-  // the first IRSA iteration. Default-off: zero threads, zero overhead.
-  obs::telemetry::telemetry_config telemetry{};
   // How devices are assigned to workers (topo/sharding.hpp). `topology`
   // (default) BFS-grows connected shards that minimize cross-shard links;
   // `round_robin` is the legacy interleaving, kept as the determinism
@@ -135,8 +124,9 @@ class dqn_network : public des::estimator {
   [[nodiscard]] des::run_result run(
       const std::vector<traffic::packet_stream>& host_streams, double horizon);
 
-  // Unified estimator contract (des/run_api.hpp); a non-null request.sink
-  // overrides the configured sink for this run.
+  // Unified estimator contract (des/run_api.hpp): a non-null request.sink,
+  // a request.delay policy and a non-zero request.threads replace the
+  // configured sink, provider and partition count for this run only.
   [[nodiscard]] des::run_result run(const des::run_request& request) override;
   [[nodiscard]] const char* estimator_name() const noexcept override {
     return "deepqueuenet";
@@ -144,10 +134,10 @@ class dqn_network : public des::estimator {
 
   [[nodiscard]] const engine_stats& stats() const noexcept { return stats_; }
 
-  // The sojourn backend the next run() will dispatch through (selected by
-  // engine_config::delay, or per run by run_request::delay_policy).
+  // The configured sojourn provider (engine_config::delay): every run
+  // without a run_request::delay override dispatches through it.
   [[nodiscard]] const delay_provider& provider() const noexcept {
-    return *provider_;
+    return provider_;
   }
 
   // Packet-level visibility: the final egress stream of any device port.
@@ -156,6 +146,12 @@ class dqn_network : public des::estimator {
                                                             std::size_t port) const;
 
  private:
+  // The one run body: both run() overloads resolve the run's sink, provider
+  // and worker count and pass them in; config_ and provider_ stay untouched.
+  [[nodiscard]] des::run_result execute(
+      const std::vector<traffic::packet_stream>& host_streams, double horizon,
+      obs::sink* sink, delay_provider& provider, std::size_t partitions);
+
   [[nodiscard]] traffic::packet_stream ingress_of(
       const std::vector<std::vector<traffic::packet_stream>>& egress,
       topo::node_id node, std::size_t port) const;
@@ -168,7 +164,7 @@ class dqn_network : public des::estimator {
   const topo::topology* topo_;
   const topo::routing* routes_;
   std::shared_ptr<const ptm_model> ptm_;
-  std::unique_ptr<delay_provider> provider_;
+  delay_provider provider_;
   device_model device_;
   device_model host_nic_;  // FIFO NIC model for host uplinks
   std::unordered_map<topo::node_id, device_model> device_overrides_;

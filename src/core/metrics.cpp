@@ -39,17 +39,6 @@ void append_bucket_metrics(const std::vector<double>& latencies,
   out.p99_jitter.push_back(stats::percentile(jitter, 0.99));
 }
 
-metric_samples compute_metric_samples(const des::run_result& result,
-                                      double bucket_seconds,
-                                      std::size_t min_packets_per_bucket) {
-  metric_samples out;
-  for (const auto& [key, latencies] : bucketed_latencies(result, bucket_seconds)) {
-    if (latencies.size() < std::max<std::size_t>(min_packets_per_bucket, 2)) continue;
-    append_bucket_metrics(latencies, out);
-  }
-  return out;
-}
-
 metric_comparison compare_runs(const des::run_result& truth,
                                const des::run_result& prediction,
                                double bucket_seconds,

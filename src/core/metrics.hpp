@@ -37,12 +37,6 @@ struct metric_samples {
   std::vector<double> p99_jitter;
 };
 
-// Compute per-(flow, bucket) samples from a run. Buckets shorter than
-// `min_packets_per_bucket` deliveries are skipped.
-[[nodiscard]] metric_samples compute_metric_samples(
-    const des::run_result& result, double bucket_seconds,
-    std::size_t min_packets_per_bucket = 8);
-
 struct metric_comparison {
   double w1_avg_rtt = 0;
   double w1_p99_rtt = 0;

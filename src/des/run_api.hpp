@@ -41,16 +41,21 @@ enum class delay_backend : std::uint8_t { ptm, analytical, tiered };
   return "unknown";
 }
 
-// Runtime policy of the tiered backend, re-evaluated per device per IRSA
+// Tier policy of core::delay_provider, re-evaluated per device per IRSA
 // iteration. A device starts on the analytical tier iff its egress-queue
-// utilization is strictly below `utilization_threshold` (so threshold 0
-// reproduces the pure PTM backend exactly); it is promoted to the
-// PTM when utilization exceeds threshold + hysteresis and demoted back when
-// it falls below threshold - hysteresis (the band prevents tier flapping
-// across iterations). `error_budget` is the relative mean-sojourn deviation
-// the analytical tier is allowed: on a device's first analytical window both
-// backends run once, and a gap beyond the budget promotes the device to the
-// PTM for the rest of the run (<= 0 disables the check).
+// utilization is strictly below `utilization_threshold`; it is promoted to
+// the PTM when utilization exceeds threshold + hysteresis and demoted back
+// when it falls below threshold - hysteresis (the band prevents tier
+// flapping across iterations). `error_budget` is the relative mean-sojourn
+// deviation the analytical tier is allowed: on a device's first analytical
+// window both tiers run once, and a gap beyond the budget promotes the
+// device to the PTM for the rest of the run (<= 0 disables the check).
+//
+// `backend` maps onto these fields: `tiered` uses them as given; `ptm`
+// replaces the threshold with 0 (no window is below it, so every window
+// takes the PTM); `analytical` replaces the threshold with +infinity and the
+// error budget with 0 (every window takes the closed forms and the PTM never
+// runs). The other fields are then ignored.
 struct delay_policy {
   delay_backend backend = delay_backend::ptm;
   double utilization_threshold = 0.35;

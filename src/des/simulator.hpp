@@ -32,9 +32,8 @@ class simulator {
     return processed_;
   }
 
-  // Pending events right now, and the deepest the heap has ever been — the
-  // DES's working-set indicator exported through obs ("des.max_heap_depth").
-  [[nodiscard]] std::size_t queue_depth() const noexcept { return queue_.size(); }
+  // The deepest the event heap has ever been — the DES's working-set
+  // indicator exported through obs ("des.max_heap_depth").
   [[nodiscard]] std::size_t max_queue_depth() const noexcept {
     return max_depth_;
   }

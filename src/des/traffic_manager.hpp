@@ -42,7 +42,6 @@ class traffic_manager {
   [[nodiscard]] std::optional<traffic::packet> dequeue();
 
   [[nodiscard]] std::size_t backlog_packets() const noexcept { return backlog_; }
-  [[nodiscard]] std::uint64_t backlog_bytes() const noexcept { return backlog_bytes_; }
   [[nodiscard]] std::uint64_t drops() const noexcept { return drops_; }
   [[nodiscard]] bool empty() const noexcept { return backlog_ == 0; }
   [[nodiscard]] const tm_config& config() const noexcept { return config_; }

@@ -23,7 +23,6 @@ class adam {
   // Apply one update from the accumulated gradients, then zero them.
   void step();
 
-  [[nodiscard]] std::size_t steps_taken() const noexcept { return t_; }
   [[nodiscard]] const param_list& params() const noexcept { return params_; }
 
  private:

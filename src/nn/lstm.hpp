@@ -34,7 +34,6 @@ class lstm {
 
   [[nodiscard]] std::size_t input_dim() const noexcept { return wx_.rows(); }
   [[nodiscard]] std::size_t hidden_dim() const noexcept { return wh_.rows(); }
-  [[nodiscard]] bool is_reverse() const noexcept { return reverse_; }
 
   void save(std::ostream& out) const;
   void load(std::istream& in);
@@ -76,10 +75,6 @@ class bilstm {
   [[nodiscard]] seq_batch backward(const seq_batch& grad_out);
 
   void collect_params(param_list& out);
-
-  [[nodiscard]] std::size_t output_dim() const noexcept {
-    return 2 * fwd_.hidden_dim();
-  }
 
   void save(std::ostream& out) const;
   void load(std::istream& in);

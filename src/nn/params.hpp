@@ -20,10 +20,4 @@ inline void zero_grads(const param_list& params) {
     for (auto& g : *p.grad) g = 0.0;
 }
 
-inline std::size_t param_count(const param_list& params) {
-  std::size_t n = 0;
-  for (const auto& p : params) n += p.value->size();
-  return n;
-}
-
 }  // namespace dqn::nn

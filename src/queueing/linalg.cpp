@@ -1,6 +1,7 @@
 #include "queueing/linalg.hpp"
 
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 namespace dqn::queueing {
@@ -68,16 +69,6 @@ matrix solve(const matrix& a, const matrix& b) {
     for (std::size_t r = 0; r < n; ++r) x(r, c) = out[r];
   }
   return x;
-}
-
-std::vector<double> solve_left(const matrix& a, std::span<const double> b) {
-  matrix at = nn::transpose(a);
-  matrix rhs{b.size(), 1};
-  for (std::size_t i = 0; i < b.size(); ++i) rhs(i, 0) = b[i];
-  matrix x = solve(at, rhs);
-  std::vector<double> out(b.size());
-  for (std::size_t i = 0; i < b.size(); ++i) out[i] = x(i, 0);
-  return out;
 }
 
 matrix identity(std::size_t n) {

@@ -4,7 +4,6 @@
 // small (MAP state spaces of 2-8), so dense direct methods are exact and fast.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "nn/matrix.hpp"
@@ -15,10 +14,6 @@ using nn::matrix;
 
 // Solve a x = b for x (a square, b a column-stacked matrix). Partial-pivot LU.
 [[nodiscard]] matrix solve(const matrix& a, const matrix& b);
-
-// Solve x a = b for a row vector x (i.e. aᵀ xᵀ = bᵀ).
-[[nodiscard]] std::vector<double> solve_left(const matrix& a,
-                                             std::span<const double> b);
 
 [[nodiscard]] matrix inverse(const matrix& a);
 

@@ -1,6 +1,6 @@
 // Closed-form sojourn/wait estimates over the queueing substrate: the
-// adapter surface core::analytical_delay_provider consumes (delay_provider
-// API, ROADMAP "tiered estimation"). Two tiers of fidelity:
+// adapter surface core::delay_provider's analytical tier consumes (ROADMAP
+// "tiered estimation"). Two tiers of fidelity:
 //
 //  * M/M/1 formulas — the textbook fast path for a single FIFO station fed
 //    at rate lambda and drained at rate mu;

@@ -13,10 +13,6 @@ class ecdf {
   // P(X <= x) under the empirical distribution.
   [[nodiscard]] double operator()(double x) const noexcept;
 
-  [[nodiscard]] const std::vector<double>& sorted_samples() const noexcept {
-    return sorted_;
-  }
-
   // Evaluate the ECDF at `points` evenly spaced values between the sample
   // min and max; returns (x, F(x)) pairs — convenient for printing CDFs.
   [[nodiscard]] std::vector<std::pair<double, double>> curve(std::size_t points) const;

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 #include <string>
 
 namespace dqn::util {
@@ -11,15 +10,8 @@ class stopwatch {
  public:
   stopwatch() noexcept : start_{clock::now()} {}
 
-  void restart() noexcept { start_ = clock::now(); }
-
   [[nodiscard]] double elapsed_seconds() const noexcept {
     return std::chrono::duration<double>(clock::now() - start_).count();
-  }
-
-  [[nodiscard]] std::int64_t elapsed_ms() const noexcept {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(clock::now() - start_)
-        .count();
   }
 
  private:

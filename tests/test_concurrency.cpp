@@ -244,7 +244,7 @@ TEST(concurrency, tiered_provider_counts_exactly_across_devices) {
   policy.utilization_threshold = 1e9;  // everything analytical
   policy.hysteresis = 0;
   policy.error_budget = 0;
-  core::tiered_delay_provider provider{tiny_ptm(), policy};
+  core::delay_provider provider{tiny_ptm(), policy};
   provider.prepare(workers + 1);
 
   traffic::packet_stream stream;

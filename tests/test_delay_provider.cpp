@@ -1,13 +1,15 @@
-// Delay-provider API tests (core/delay_provider.hpp): backend parity against
-// closed-form queueing theory, the tiered policy's threshold/hysteresis state
-// machine and error-budget spot check, the policy extremes reproducing the
-// pure backends bit-for-bit through the engine, the per-run delay override of
+// Delay-provider API tests (core/delay_provider.hpp): the analytical tier
+// against closed-form queueing theory, the mapping of each backend onto the
+// tier policy, the threshold/hysteresis state machine and error-budget spot
+// check against independent references, the per-run delay override of
 // des::run_request, and the string-keyed estimator factory.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -17,8 +19,10 @@
 #include "core/dutil.hpp"
 #include "core/engine.hpp"
 #include "core/features.hpp"
+#include "core/ptm.hpp"
 #include "des/estimator_factory.hpp"
 #include "des/run_api.hpp"
+#include "nn/workspace.hpp"
 #include "obs/sink.hpp"
 #include "queueing/sojourn.hpp"
 #include "topo/builders.hpp"
@@ -65,6 +69,17 @@ traffic::packet_stream make_stream(std::size_t n, double gap,
   return stream;
 }
 
+des::delay_policy backend_policy(des::delay_backend backend) {
+  return des::delay_policy{.backend = backend};
+}
+
+// Bit-for-bit equality (EXPECT_DOUBLE_EQ would forgive 4 ulps).
+void expect_bitwise_equal(const std::vector<double>& a,
+                          const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+}
+
 // A ready-to-estimate device_state over one arrival series. Owns the rows so
 // the state's spans stay valid for the fixture's lifetime.
 struct probe {
@@ -101,7 +116,8 @@ TEST(delay_provider, analytical_fifo_waits_are_exact_lindley) {
   }
   probe pr{std::move(stream)};
 
-  core::analytical_delay_provider provider;
+  core::delay_provider provider{
+      nullptr, backend_policy(des::delay_backend::analytical)};
   std::vector<double> raw;
   pr.state.raw_out = &raw;
   const auto waits = provider.estimate_sojourn(pr.state, 0.0);
@@ -138,8 +154,8 @@ TEST(delay_provider, ldqbd_reference_collapses_to_mm1_for_fifo) {
   const double mean_bytes = 1000.0;
   const double mu = ctx.bandwidth_bps / (mean_bytes * 8.0);
   const double lambda = 0.5 * mu;
-  const auto waits = core::analytical_delay_provider::ldqbd_reference_waits(
-      ctx, lambda, mean_bytes);
+  const auto waits =
+      core::delay_provider::ldqbd_reference_waits(ctx, lambda, mean_bytes);
   ASSERT_EQ(waits.size(), 1u);
   const double expected = queueing::mm1_mean_wait(lambda, mu);
   EXPECT_NEAR(waits[0], expected, 0.05 * expected);
@@ -168,14 +184,15 @@ TEST(delay_provider, analytical_empirical_mean_matches_ldqbd_reference) {
   }
   probe pr{std::move(stream), bandwidth};
 
-  core::analytical_delay_provider provider;
+  core::delay_provider provider{
+      nullptr, backend_policy(des::delay_backend::analytical)};
   const auto waits = provider.estimate_sojourn(pr.state, t);
   double mean = 0;
   for (const double w : waits) mean += w;
   mean /= static_cast<double>(waits.size());
 
-  const auto reference = core::analytical_delay_provider::ldqbd_reference_waits(
-      pr.ctx, lambda, mean_bytes);
+  const auto reference =
+      core::delay_provider::ldqbd_reference_waits(pr.ctx, lambda, mean_bytes);
   ASSERT_EQ(reference.size(), 1u);
   EXPECT_NEAR(mean, reference[0], 0.25 * reference[0]);
 }
@@ -186,7 +203,7 @@ TEST(delay_provider, tiered_hysteresis_state_machine) {
   policy.utilization_threshold = 0.5;
   policy.hysteresis = 0.1;
   policy.error_budget = 0;  // isolate the threshold machinery
-  core::tiered_delay_provider provider{tiny_ptm(), policy};
+  core::delay_provider provider{tiny_ptm(), policy};
   provider.prepare(4);
 
   probe pr{make_stream(10, 5e-6)};
@@ -233,7 +250,7 @@ TEST(delay_provider, tiered_unprepared_slot_decides_statelessly) {
   policy.utilization_threshold = 0.5;
   policy.hysteresis = 0.1;
   policy.error_budget = 0;
-  core::tiered_delay_provider provider{tiny_ptm(), policy};  // no prepare()
+  core::delay_provider provider{tiny_ptm(), policy};  // no prepare()
 
   probe pr{make_stream(5, 5e-6), 1e9, /*device=*/5};
   pr.state.utilization = 0.3;
@@ -252,7 +269,7 @@ TEST(delay_provider, tiered_error_budget_pins_device_to_ptm) {
   policy.utilization_threshold = 1e9;  // everything starts analytical
   policy.hysteresis = 0;
   policy.error_budget = 1e-9;  // no learned model clears this bar
-  core::tiered_delay_provider provider{tiny_ptm(), policy};
+  core::delay_provider provider{tiny_ptm(), policy};
   provider.prepare(4);
 
   probe pr{make_stream(10, 5e-6)};
@@ -261,11 +278,11 @@ TEST(delay_provider, tiered_error_budget_pins_device_to_ptm) {
   // The spot check ran both backends, failed the budget, and returned the
   // learned values; the device is pinned to the PTM permanently.
   EXPECT_EQ(provider.stats().budget_promotions, 1u);
-  core::ptm_delay_provider learned{tiny_ptm()};
-  const auto expected = learned.estimate_sojourn(pr.state, 5e-5);
-  ASSERT_EQ(first.size(), expected.size());
-  for (std::size_t i = 0; i < first.size(); ++i)
-    EXPECT_DOUBLE_EQ(first[i], expected[i]);
+  nn::workspace ws;
+  const auto& model = tiny_bundle().model;
+  expect_bitwise_equal(
+      first, model.predict(core::make_windows(pr.rows, model.config().time_steps),
+                           ws, /*apply_sec=*/true));
 
   pr.state.utilization = 0.0;  // far below threshold, but pinned wins
   (void)provider.estimate_sojourn(pr.state, 5e-5);
@@ -279,18 +296,19 @@ TEST(delay_provider, tiered_error_budget_passes_with_generous_budget) {
   policy.utilization_threshold = 1e9;
   policy.hysteresis = 0;
   policy.error_budget = 1e9;  // any deviation is within budget
-  core::tiered_delay_provider provider{tiny_ptm(), policy};
+  core::delay_provider provider{tiny_ptm(), policy};
   provider.prepare(4);
 
   probe pr{make_stream(10, 5e-6)};
   const auto first = provider.estimate_sojourn(pr.state, 5e-5);
   EXPECT_EQ(provider.stats().budget_promotions, 0u);
 
-  core::analytical_delay_provider analytical;
-  const auto expected = analytical.estimate_sojourn(pr.state, 5e-5);
-  ASSERT_EQ(first.size(), expected.size());
-  for (std::size_t i = 0; i < first.size(); ++i)
-    EXPECT_DOUBLE_EQ(first[i], expected[i]);
+  // FIFO: the analytical tier reads the Lindley unfinished-work column.
+  std::vector<double> expected;
+  for (std::size_t i = 0; i < pr.stream.size(); ++i)
+    expected.push_back(
+        pr.rows[i * core::feature_count + core::f_unfinished_work]);
+  expect_bitwise_equal(first, expected);
   EXPECT_EQ(provider.stats().analytical_packets, 10u);
 }
 
@@ -300,7 +318,7 @@ TEST(delay_provider, tiered_publish_emits_deltas_against_shared_sink) {
   policy.utilization_threshold = 1e9;
   policy.hysteresis = 0;
   policy.error_budget = 0;
-  core::tiered_delay_provider provider{tiny_ptm(), policy};
+  core::delay_provider provider{tiny_ptm(), policy};
   provider.prepare(4);
 
   probe pr{make_stream(10, 5e-6)};
@@ -327,9 +345,60 @@ TEST(delay_provider, tiered_publish_emits_deltas_against_shared_sink) {
   EXPECT_FALSE(histograms.contains("delay.ptm_seconds"));
 }
 
+TEST(delay_provider, backend_maps_onto_tier_thresholds) {
+  const des::delay_policy given{.backend = des::delay_backend::tiered,
+                                .utilization_threshold = 0.4,
+                                .hysteresis = 0.02,
+                                .error_budget = 0.3};
+  auto as = [&](des::delay_backend backend) {
+    des::delay_policy policy = given;
+    policy.backend = backend;
+    return policy;
+  };
+
+  const core::delay_provider ptm{tiny_ptm(), as(des::delay_backend::ptm)};
+  EXPECT_STREQ(ptm.name(), "ptm");
+  EXPECT_EQ(ptm.policy().utilization_threshold, 0.0);
+
+  const core::delay_provider analytical{
+      tiny_ptm(), as(des::delay_backend::analytical)};
+  EXPECT_STREQ(analytical.name(), "analytical");
+  EXPECT_EQ(analytical.policy().utilization_threshold,
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(analytical.policy().error_budget, 0.0);
+
+  const core::delay_provider tiered{tiny_ptm(), given};
+  EXPECT_STREQ(tiered.name(), "tiered");
+  EXPECT_EQ(tiered.policy().utilization_threshold, 0.4);
+  EXPECT_EQ(tiered.policy().hysteresis, 0.02);
+  EXPECT_EQ(tiered.policy().error_budget, 0.3);
+}
+
+TEST(delay_provider, only_the_analytical_backend_runs_without_a_ptm) {
+  core::delay_provider analytical{
+      nullptr, backend_policy(des::delay_backend::analytical)};
+  analytical.prepare(4);
+  probe pr{make_stream(10, 5e-6)};
+  pr.state.utilization = 1e6;  // no load routes the analytical backend to a PTM
+  EXPECT_EQ(analytical.estimate_sojourn(pr.state, 5e-5).size(), 10u);
+  EXPECT_EQ(analytical.stats().analytical_packets, 10u);
+
+  const auto untrained = std::make_shared<const core::ptm_model>();
+  for (const auto backend :
+       {des::delay_backend::ptm, des::delay_backend::tiered}) {
+    EXPECT_THROW((core::delay_provider{untrained, backend_policy(backend)}),
+                 std::invalid_argument)
+        << des::to_string(backend);
+    EXPECT_THROW((core::delay_provider{nullptr, backend_policy(backend)}),
+                 std::invalid_argument)
+        << des::to_string(backend);
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Engine-level parity: the tiered policy extremes must reproduce the pure
-// backends bit-for-bit, and run_request.delay must override per run only.
+// Engine-level parity: each backend must reproduce, bit-for-bit through the
+// engine, the tiered policy at the thresholds it maps onto, and
+// run_request.delay must override per run only.
 // ---------------------------------------------------------------------------
 
 struct engine_scenario {

@@ -1,6 +1,6 @@
-// Further engine coverage: host-NIC modeling, iteration controls, hop
-// recording, and SEC's effect at the network level. Shares one tiny trained
-// model across the binary.
+// Further engine coverage: hop recording, the Theorem 3.1 iteration bound on
+// every evaluation topology, and SEC's effect at the network level. Shares
+// one tiny trained model across the binary.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -45,36 +45,6 @@ std::vector<traffic::packet_stream> make_streams(std::size_t hosts, double rate,
   tg.seed = seed;
   auto generators = traffic::make_generators(flows, tg);
   return traffic::per_host_streams(generators, hosts, horizon, rng);
-}
-
-TEST(engine_extra, host_nic_modeling_adds_nonnegative_delay) {
-  const auto topo = topo::make_line(3);
-  const topo::routing routes{topo};
-  const auto streams = make_streams(3, 50'000.0, 0.02, 1);
-  core::engine_config with_nic;
-  with_nic.model_host_nics = true;
-  core::engine_config without_nic;
-  without_nic.model_host_nics = false;
-  core::dqn_network net_with{topo, routes, shared_ptm(), {}, with_nic};
-  core::dqn_network net_without{topo, routes, shared_ptm(), {}, without_nic};
-  const auto r_with = net_with.run(streams, 0.02);
-  const auto r_without = net_without.run(streams, 0.02);
-  ASSERT_EQ(r_with.deliveries.size(), r_without.deliveries.size());
-  double sum_with = 0, sum_without = 0;
-  for (const auto& d : r_with.deliveries) sum_with += d.latency();
-  for (const auto& d : r_without.deliveries) sum_without += d.latency();
-  EXPECT_GE(sum_with, sum_without);
-}
-
-TEST(engine_extra, max_iterations_override_caps_irsa) {
-  const auto topo = topo::make_fattree16();
-  const topo::routing routes{topo};
-  core::engine_config cfg;
-  cfg.max_iterations = 2;
-  core::dqn_network net{topo, routes, shared_ptm(), {}, cfg};
-  const auto streams = make_streams(16, 20'000.0, 0.005, 2);
-  (void)net.run(streams, 0.005);
-  EXPECT_LE(net.stats().iterations, 2u);
 }
 
 TEST(engine_extra, hop_records_match_deliveries_paths) {
