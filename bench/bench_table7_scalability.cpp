@@ -16,12 +16,14 @@
 //                      fingerprint so the gate can assert bit-identical
 //                      results across thread counts;
 //   --tiered-smoke     the tiered-vs-PTM block: both backends on the same
-//                      scenario and engine;
+//                      scenario and engine, with the tiered run's error-budget
+//                      probe count and the windows they ran the PTM on;
 //   --telemetry-smoke  the telemetry-overhead block: the same run with the
 //                      live telemetry plane off and on.
 // Any other argument is a usage error (exit 2).
 #include "bench/common.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -104,6 +106,8 @@ struct tiered_comparison {
   double ptm_wall = 0;
   double tiered_wall = 0;
   double analytical_fraction = 0;
+  std::uint64_t probes = 0;         // tiered error-budget spot checks
+  std::uint64_t probe_windows = 0;  // windows those checks ran the PTM on
   std::size_t ptm_deliveries = 0;
   std::size_t tiered_deliveries = 0;
 };
@@ -123,9 +127,12 @@ tiered_comparison compare_tiered(const bench::scenario& s,
     request.horizon = s.horizon;
     *deliveries = net->run(request).deliveries.size();
     const auto& engine = dynamic_cast<const core::dqn_network&>(*net);
-    if (backend == des::delay_backend::tiered)
-      out.analytical_fraction =
-          engine.provider().stats().analytical_fraction();
+    if (backend == des::delay_backend::tiered) {
+      const auto tiers = engine.provider().stats();
+      out.analytical_fraction = tiers.analytical_fraction();
+      out.probes = tiers.probes;
+      out.probe_windows = tiers.probe_windows;
+    }
     return engine.stats().wall_seconds;
   };
   out.ptm_wall = measured_wall(des::delay_backend::ptm, &out.ptm_deliveries);
@@ -198,10 +205,13 @@ int run_tiered_smoke() {
   const tiered_comparison t = compare_tiered(s, bench::network_model());
   std::printf("{\"ptm_wall_seconds\": %.6f, \"tiered_wall_seconds\": %.6f, "
               "\"analytical_fraction\": %.4f, \"speedup\": %.3f, "
-              "\"ptm_deliveries\": %zu, \"tiered_deliveries\": %zu}\n",
+              "\"ptm_deliveries\": %zu, \"tiered_deliveries\": %zu, "
+              "\"probes\": %llu, \"probe_windows\": %llu}\n",
               t.ptm_wall, t.tiered_wall, t.analytical_fraction,
               t.tiered_wall > 0 ? t.ptm_wall / t.tiered_wall : 0.0,
-              t.ptm_deliveries, t.tiered_deliveries);
+              t.ptm_deliveries, t.tiered_deliveries,
+              static_cast<unsigned long long>(t.probes),
+              static_cast<unsigned long long>(t.probe_windows));
   return 0;
 }
 

@@ -24,6 +24,18 @@ std::size_t row_count(const device_state& state) {
   return state.feature_rows.size() / feature_count;
 }
 
+// The feature column the analytical tier reads for `kind`. FIFO's Lindley
+// unfinished work is the *exact* waiting time; SP's own-or-higher-class work
+// is the W_0 bound of the device model's prior-knowledge clamp; the weighted
+// disciplines use the GPS wait estimate (exact under permanent backlog).
+std::size_t analytical_column(des::scheduler_kind kind) {
+  switch (kind) {
+    case des::scheduler_kind::fifo: return f_unfinished_work;
+    case des::scheduler_kind::sp: return f_own_class_work;
+    default: return f_gps_wait;
+  }
+}
+
 }  // namespace
 
 std::unique_ptr<delay_provider> make_delay_provider(
@@ -69,9 +81,9 @@ void delay_provider::bind_sink(obs::sink* sink) {
 }
 
 void delay_provider::prepare(std::size_t device_slots) {
-  // Slot 0 is the host-NIC pseudo-device (device id -1); hysteresis and
-  // budget state survive across IRSA iterations but not across prepare().
-  tiers_.assign(device_slots, device_tier{});
+  // Hysteresis and budget state survive across IRSA iterations but not
+  // across prepare().
+  tiers_.assign(device_slots, {});
 }
 
 std::vector<double> delay_provider::predict_windows(
@@ -108,16 +120,7 @@ std::vector<double> delay_provider::analytical_sojourns(
   DQN_ENSURE(state.ctx != nullptr,
              "delay_provider: device_state.ctx is required");
   const std::size_t n = row_count(state);
-  // Pick the closed-form wait for the discipline. FIFO's Lindley unfinished
-  // work is the *exact* waiting time; SP's own-or-higher-class work is the
-  // W_0 bound of the device model's prior-knowledge clamp; the weighted
-  // disciplines use the GPS wait estimate (exact under permanent backlog).
-  std::size_t column = f_gps_wait;
-  switch (state.ctx->kind) {
-    case des::scheduler_kind::fifo: column = f_unfinished_work; break;
-    case des::scheduler_kind::sp: column = f_own_class_work; break;
-    default: column = f_gps_wait; break;
-  }
+  const std::size_t column = analytical_column(state.ctx->kind);
   std::vector<double> sojourns(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double wait = state.feature_rows[i * feature_count + column];
@@ -173,17 +176,25 @@ std::vector<double> delay_provider::ldqbd_reference_waits(
 // Tier routing
 // ---------------------------------------------------------------------------
 
-delay_provider::tier delay_provider::decide(std::size_t slot,
+delay_provider::queue_tier* delay_provider::tier_of(const device_state& state) {
+  const std::size_t slot = static_cast<std::size_t>(state.device + 1);
+  if (slot >= tiers_.size()) return nullptr;
+  std::vector<queue_tier>& ports = tiers_[slot];
+  if (state.port >= ports.size()) ports.resize(state.port + 1);
+  return &ports[state.port];
+}
+
+delay_provider::tier delay_provider::decide(queue_tier* queue,
                                             double utilization) {
   const double threshold = policy_.utilization_threshold;
   const double band = policy_.hysteresis;
   // Strict comparison: threshold 0 means "never analytical" (pure PTM) even
   // for idle zero-utilization windows, so the two policy extremes reproduce
   // the pure backends exactly.
-  if (slot >= tiers_.size())  // unprepared: stateless threshold decision
+  if (queue == nullptr)  // unprepared: stateless threshold decision
     return utilization < threshold ? tier::analytical : tier::ptm;
 
-  device_tier& state = tiers_[slot];
+  queue_tier& state = *queue;
   if (state.pinned_ptm) return tier::ptm;
   switch (state.current) {
     case tier::unset:
@@ -205,51 +216,63 @@ delay_provider::tier delay_provider::decide(std::size_t slot,
   return state.current;
 }
 
+bool delay_provider::within_error_budget(const device_state& state) {
+  DQN_ENSURE(state.ctx != nullptr,
+             "delay_provider: device_state.ctx is required");
+  const std::size_t n = row_count(state);
+  // Every stride-th window: at most probe_window_cap of them, spread over the
+  // whole series. Each window's PTM output does not depend on the batch it
+  // runs in, so these are the values a full-series run gives those packets.
+  const std::size_t stride = (n + probe_window_cap - 1) / probe_window_cap;
+  const auto windows =
+      make_windows(state.feature_rows, ptm_->config().time_steps, stride);
+  std::optional<nn::workspace> local;
+  nn::workspace& ws =
+      state.workspace != nullptr ? *state.workspace : local.emplace();
+  const auto learned = ptm_->predict(windows, ws, state.apply_sec);
+  probes_.fetch_add(1, std::memory_order_relaxed);
+  probe_windows_.fetch_add(learned.size(), std::memory_order_relaxed);
+
+  const std::size_t column = analytical_column(state.ctx->kind);
+  double mean_analytical = 0;
+  double mean_learned = 0;
+  for (std::size_t k = 0; k < learned.size(); ++k) {
+    mean_analytical += state.feature_rows[k * stride * feature_count + column];
+    mean_learned += learned[k];
+  }
+  mean_analytical /= static_cast<double>(learned.size());
+  mean_learned /= static_cast<double>(learned.size());
+  // The deviation is judged relative to the PTM mean plus one mean service
+  // time, so near-zero waits don't divide by zero.
+  double mean_service = 0;
+  if (state.arrivals != nullptr && !state.arrivals->empty() &&
+      state.ctx->bandwidth_bps > 0) {
+    for (const auto& ev : *state.arrivals)
+      mean_service += static_cast<double>(ev.pkt.size_bytes);
+    mean_service *= 8.0 / (static_cast<double>(state.arrivals->size()) *
+                           state.ctx->bandwidth_bps);
+  }
+  const double tolerance = policy_.error_budget * (mean_learned + mean_service);
+  return std::abs(mean_analytical - mean_learned) <= tolerance;
+}
+
 std::vector<double> delay_provider::estimate_sojourn(
     const device_state& state, double /*window_seconds*/) {
   const std::size_t n = row_count(state);
-  const std::size_t slot = static_cast<std::size_t>(state.device + 1);
-  tier chosen = decide(slot, state.utilization);
+  queue_tier* const queue = tier_of(state);
+  tier chosen = decide(queue, state.utilization);
 
-  if (chosen == tier::analytical && slot < tiers_.size() &&
-      !tiers_[slot].budget_checked && policy_.error_budget > 0 && n > 0) {
-    // One-shot spot check on the device's first analytical window: run both
-    // backends and promote permanently if the analytical mean deviates from
-    // the PTM's by more than the budget (relative to the PTM mean plus one
-    // mean service time, so near-zero waits don't divide by zero).
-    tiers_[slot].budget_checked = true;
-    device_state probe = state;
-    probe.raw_out = nullptr;
-    const auto analytical = analytical_sojourns(probe);
-    const auto learned = ptm_sojourns(state);
-    analytical_calls_.fetch_add(1, std::memory_order_relaxed);
-    ptm_calls_.fetch_add(1, std::memory_order_relaxed);
-    double mean_analytical = 0;
-    double mean_learned = 0;
-    for (const double s : analytical) mean_analytical += s;
-    for (const double s : learned) mean_learned += s;
-    mean_analytical /= static_cast<double>(n);
-    mean_learned /= static_cast<double>(n);
-    double mean_service = 0;
-    if (state.arrivals != nullptr && !state.arrivals->empty() &&
-        state.ctx != nullptr && state.ctx->bandwidth_bps > 0) {
-      for (const auto& ev : *state.arrivals)
-        mean_service += static_cast<double>(ev.pkt.size_bytes);
-      mean_service *= 8.0 / (static_cast<double>(state.arrivals->size()) *
-                             state.ctx->bandwidth_bps);
-    }
-    const double tolerance =
-        policy_.error_budget * (mean_learned + mean_service);
-    if (std::abs(mean_analytical - mean_learned) > tolerance) {
-      tiers_[slot].pinned_ptm = true;
-      tiers_[slot].current = tier::ptm;
+  if (chosen == tier::analytical && queue != nullptr &&
+      !queue->budget_checked && policy_.error_budget > 0 && n > 0) {
+    // One-shot spot check on the queue's first analytical call; a failure
+    // pins the queue to the PTM permanently.
+    queue->budget_checked = true;
+    if (!within_error_budget(state)) {
+      queue->pinned_ptm = true;
+      queue->current = tier::ptm;
       budget_promotions_.fetch_add(1, std::memory_order_relaxed);
-      ptm_packets_.fetch_add(n, std::memory_order_relaxed);
-      return learned;  // state.raw_out already holds the PTM raw values
+      chosen = tier::ptm;
     }
-    analytical_packets_.fetch_add(n, std::memory_order_relaxed);
-    if (state.raw_out != nullptr) *state.raw_out = analytical;
-    return analytical;
   }
 
   if (chosen == tier::ptm) {
@@ -271,6 +294,8 @@ delay_provider::tier_stats delay_provider::stats() const noexcept {
   s.promotions = promotions_.load(std::memory_order_relaxed);
   s.demotions = demotions_.load(std::memory_order_relaxed);
   s.budget_promotions = budget_promotions_.load(std::memory_order_relaxed);
+  s.probes = probes_.load(std::memory_order_relaxed);
+  s.probe_windows = probe_windows_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -294,6 +319,9 @@ void delay_provider::publish(obs::sink& sink) {
   sink.count("tiered.demotions", delta(now.demotions, published_.demotions));
   sink.count("tiered.budget_promotions",
              delta(now.budget_promotions, published_.budget_promotions));
+  sink.count("tiered.probes", delta(now.probes, published_.probes));
+  sink.count("tiered.probe_windows",
+             delta(now.probe_windows, published_.probe_windows));
   sink.gauge("tiered.analytical_fraction", now.analytical_fraction());
   published_ = now;
 }

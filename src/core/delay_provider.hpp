@@ -15,10 +15,18 @@
 //                 reference (queueing/sojourn.hpp): the tier policy at
 //                 threshold +inf with no error budget, so the PTM never runs
 //                 and none is needed;
-//  * tiered     — the policy as given: routes each device per iteration by a
-//                 utilization threshold with hysteresis plus a one-shot
-//                 error-budget spot check, so cold devices skip DNN inference
-//                 entirely.
+//  * tiered     — the policy as given: routes each egress queue per
+//                 iteration by a utilization threshold with hysteresis plus a
+//                 one-shot error-budget spot check, so cold queues skip DNN
+//                 inference entirely.
+//
+// Tier state lives per egress queue: one slot per (device, port), where a
+// host NIC is the one-port device named by the host's node id. The spot check
+// runs on a queue's first analytical call and is bounded: the PTM sees at
+// most probe_window_cap windows, taken at a fixed stride through the series
+// and built from the feature rows in make_windows' layout, and their mean is
+// compared with the analytical estimates at the same packets. A queue that
+// fails is pinned to the PTM, which then serves its whole series.
 //
 // Threading contract (matches the engine's partition loop): estimate_sojourn
 // may be called concurrently for *different* devices; two concurrent calls
@@ -49,7 +57,7 @@ namespace dqn::core {
 // Everything a backend may consult about one egress queue's arrival series.
 // Views are non-owning and valid only for the duration of the call.
 struct device_state {
-  std::int64_t device = -1;   // topology node id; -1 = host NIC model
+  std::int64_t device = -1;   // topology node id; a host NIC passes its host's
   std::size_t port = 0;       // egress port within the device
   std::size_t iteration = 0;  // IRSA iteration this estimate belongs to
   const traffic::packet_stream* arrivals = nullptr;  // time-ordered series
@@ -77,6 +85,8 @@ class delay_provider {
     std::uint64_t promotions = 0;         // analytical -> ptm (threshold)
     std::uint64_t demotions = 0;          // ptm -> analytical (threshold)
     std::uint64_t budget_promotions = 0;  // analytical -> ptm (error budget)
+    std::uint64_t probes = 0;             // error-budget spot checks run
+    std::uint64_t probe_windows = 0;      // windows those checks ran the PTM on
 
     [[nodiscard]] double analytical_fraction() const noexcept {
       const std::uint64_t total = analytical_packets + ptm_packets;
@@ -86,6 +96,9 @@ class delay_provider {
                        static_cast<double>(total);
     }
   };
+
+  // Most windows one error-budget spot check runs the PTM on.
+  static constexpr std::size_t probe_window_cap = 64;
 
   // Maps policy.backend onto the tier policy (see the header comment). Every
   // backend but `analytical` needs a trained PTM (std::invalid_argument).
@@ -105,8 +118,10 @@ class delay_provider {
   // detaches). The engine calls this once per run, before any estimates.
   void bind_sink(obs::sink* sink);
 
-  // Run boundary: size per-device tier state for ids in
-  // [-1, device_slots - 1).
+  // Run boundary: reset the tier state and size it for device ids in
+  // [-1, device_slots - 1). The engine passes node_count + 1, so every
+  // switch and every host NIC (by its node id) has its own slot; a device's
+  // per-port row is sized by its first estimate.
   void prepare(std::size_t device_slots);
 
   // Run boundary: export the tiered.* counters and gauge accumulated since
@@ -139,16 +154,25 @@ class delay_provider {
  private:
   enum class tier : std::uint8_t { unset, analytical, ptm };
 
-  struct device_tier {
+  struct queue_tier {
     tier current = tier::unset;
     bool budget_checked = false;
     bool pinned_ptm = false;  // error-budget promotion is permanent
   };
 
-  // Resolve the tier for (slot, utilization), applying the hysteresis band
-  // and counting transitions. Slots beyond the prepared range fall back to a
-  // stateless threshold decision (no hysteresis memory).
-  tier decide(std::size_t slot, double utilization);
+  // The tier state of state's (device, port), or nullptr for a device outside
+  // the prepared range.
+  queue_tier* tier_of(const device_state& state);
+
+  // Resolve the tier for `utilization`, applying the hysteresis band and
+  // counting transitions. A null queue (unprepared) gets a stateless
+  // threshold decision (no hysteresis memory).
+  tier decide(queue_tier* queue, double utilization);
+
+  // Error-budget spot check: runs the PTM on at most probe_window_cap
+  // windows at a fixed stride and reports whether the analytical mean at
+  // the same packets lies within the budget of the PTM mean.
+  [[nodiscard]] bool within_error_budget(const device_state& state);
 
   // Learned tier: windows the feature rows and runs ptm_model::predict
   // (+ SEC). This is the only first-party predict call site outside the PTM
@@ -166,7 +190,10 @@ class delay_provider {
 
   std::shared_ptr<const ptm_model> ptm_;
   des::delay_policy policy_;
-  std::vector<device_tier> tiers_;  // slot = device id + 1 (-1 = host NIC)
+  // Indexed [device id + 1][port]: one slot per egress queue. Each row
+  // belongs to one device, so concurrent calls for different devices touch
+  // disjoint rows.
+  std::vector<std::vector<queue_tier>> tiers_;
   obs::histogram_handle ptm_sojourn_;  // delay.ptm.predicted_sojourn_seconds
   // delay.analytical.predicted_sojourn_seconds
   obs::histogram_handle analytical_sojourn_;
@@ -178,6 +205,8 @@ class delay_provider {
   std::atomic<std::uint64_t> promotions_{0};
   std::atomic<std::uint64_t> demotions_{0};
   std::atomic<std::uint64_t> budget_promotions_{0};
+  std::atomic<std::uint64_t> probes_{0};
+  std::atomic<std::uint64_t> probe_windows_{0};
   // publish() is documented single-thread (run boundary), but the guard makes
   // the contract checkable: concurrent publish() calls would double-count
   // deltas, so published_ is mutex-protected rather than trusted.

@@ -64,7 +64,8 @@ class device_model {
   // `delay` selects the sojourn backend (delay_provider.hpp): the engine
   // passes its configured provider; null falls back to this model's own PTM
   // backend (the pre-redesign behaviour). `device_id`/`iteration` identify
-  // the call for the provider's per-device tiering state (-1 = host NIC).
+  // the call for the provider's per-queue tiering state (a host NIC passes
+  // its host's node id; -1 is the unnamed pseudo-device).
   [[nodiscard]] std::vector<traffic::packet_stream> process(
       const std::vector<traffic::packet_stream>& ingress, const forward_fn& forward,
       bool apply_sec = true, std::vector<predicted_hop>* hops = nullptr,

@@ -127,7 +127,7 @@ des::run_result dqn_network::execute(
     nn::kernels::report_dispatch(*sink);
   }
   // Arm the sojourn backend for this run: resolve its metric handles and
-  // size its per-device tiering state (slot 0 = the host-NIC pseudo-device).
+  // size its tiering state, one slot per node id (host NICs included).
   provider.bind_sink(sink);
   provider.prepare(topo_->node_count() + 1);
 
@@ -170,7 +170,8 @@ des::run_result dqn_network::execute(
       auto egress_streams = host_nic_.process(
           {out}, [](std::uint32_t, std::size_t) { return std::size_t{0}; },
           config_.apply_sec, nullptr, nullptr, bandwidths, nullptr, sink,
-          &host_nic_workspace, &provider, /*device_id=*/-1,
+          &host_nic_workspace, &provider,
+          /*device_id=*/static_cast<std::int64_t>(hosts[i]),
           /*iteration=*/0);
       out = std::move(egress_streams[0]);
     }

@@ -90,14 +90,17 @@ std::vector<double> compute_features(const traffic::packet_stream& arrivals,
 }
 
 std::vector<double> make_windows(std::span<const double> feature_rows,
-                                 std::size_t time_steps) {
+                                 std::size_t time_steps, std::size_t stride) {
   DQN_ENSURE(time_steps > 0, "make_windows: time_steps >= 1");
+  DQN_ENSURE(stride > 0, "make_windows: stride >= 1");
   DQN_ENSURE(feature_rows.size() % feature_count == 0, "make_windows: ",
              feature_rows.size(), " rows not a multiple of feature_count ",
              feature_count);
   const std::size_t n = feature_rows.size() / feature_count;
-  std::vector<double> windows(n * time_steps * feature_count, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
+  const std::size_t count = (n + stride - 1) / stride;
+  std::vector<double> windows(count * time_steps * feature_count, 0.0);
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t i = k * stride;
     for (std::size_t t = 0; t < time_steps; ++t) {
       // Window position t corresponds to source row i - (time_steps-1) + t,
       // clamped to 0 (front padding repeats the first packet).
@@ -107,7 +110,7 @@ std::vector<double> make_windows(std::span<const double> feature_rows,
                                           static_cast<std::ptrdiff_t>(t));
       std::copy_n(feature_rows.data() + static_cast<std::size_t>(src) * feature_count,
                   feature_count,
-                  windows.data() + (i * time_steps + t) * feature_count);
+                  windows.data() + (k * time_steps + t) * feature_count);
     }
   }
   return windows;

@@ -102,10 +102,13 @@ struct scheduler_context {
 [[nodiscard]] std::vector<double> compute_features(
     const traffic::packet_stream& arrivals, const scheduler_context& ctx);
 
-// Assemble sliding windows of `time_steps` packets ending at each index in
-// [first, n): flattened (count, time_steps, feature_count). Windows whose
-// history would precede the series start are front-padded with the first row.
+// Assemble sliding windows of `time_steps` packets ending at every
+// `stride`-th row (0, stride, 2*stride, ... < n): flattened (count,
+// time_steps, feature_count). Windows whose history would precede the series
+// start are front-padded with the first row. A strided window is byte-equal
+// to the stride-1 window ending at the same row.
 [[nodiscard]] std::vector<double> make_windows(std::span<const double> feature_rows,
-                                               std::size_t time_steps);
+                                               std::size_t time_steps,
+                                               std::size_t stride = 1);
 
 }  // namespace dqn::core

@@ -275,9 +275,14 @@ TEST(delay_provider, tiered_error_budget_pins_device_to_ptm) {
   probe pr{make_stream(10, 5e-6)};
   const auto first = provider.estimate_sojourn(pr.state, 5e-5);
 
-  // The spot check ran both backends, failed the budget, and returned the
-  // learned values; the device is pinned to the PTM permanently.
+  // The spot check compared both backends on every window of this short
+  // series, failed the budget, and returned the learned values; the queue is
+  // pinned to the PTM permanently.
   EXPECT_EQ(provider.stats().budget_promotions, 1u);
+  EXPECT_EQ(provider.stats().probes, 1u);
+  EXPECT_EQ(provider.stats().probe_windows, 10u);
+  EXPECT_EQ(provider.stats().ptm_calls, 1u);
+  EXPECT_EQ(provider.stats().analytical_calls, 0u);
   nn::workspace ws;
   const auto& model = tiny_bundle().model;
   expect_bitwise_equal(
@@ -302,6 +307,10 @@ TEST(delay_provider, tiered_error_budget_passes_with_generous_budget) {
   probe pr{make_stream(10, 5e-6)};
   const auto first = provider.estimate_sojourn(pr.state, 5e-5);
   EXPECT_EQ(provider.stats().budget_promotions, 0u);
+  // The probe counts as probe windows, not as a served PTM call.
+  EXPECT_EQ(provider.stats().probes, 1u);
+  EXPECT_EQ(provider.stats().ptm_calls, 0u);
+  EXPECT_EQ(provider.stats().analytical_calls, 1u);
 
   // FIFO: the analytical tier reads the Lindley unfinished-work column.
   std::vector<double> expected;
@@ -310,6 +319,134 @@ TEST(delay_provider, tiered_error_budget_passes_with_generous_budget) {
         pr.rows[i * core::feature_count + core::f_unfinished_work]);
   expect_bitwise_equal(first, expected);
   EXPECT_EQ(provider.stats().analytical_packets, 10u);
+}
+
+TEST(delay_provider, tiered_probe_hands_the_ptm_a_bounded_sample) {
+  des::delay_policy policy;
+  policy.backend = des::delay_backend::tiered;
+  policy.utilization_threshold = 1e9;
+  policy.hysteresis = 0;
+  policy.error_budget = 1e9;  // passes: the sample's size is what is checked
+  core::delay_provider provider{tiny_ptm(), policy};
+  provider.prepare(4);
+  obs::sink sink;
+  provider.bind_sink(&sink);
+
+  probe pr{make_stream(10'000, 5e-6)};
+  (void)provider.estimate_sojourn(pr.state, 5e-2);
+  const auto stats = provider.stats();
+  EXPECT_EQ(stats.probes, 1u);
+  EXPECT_GT(stats.probe_windows, 0u);
+  EXPECT_LE(stats.probe_windows, core::delay_provider::probe_window_cap);
+  EXPECT_EQ(stats.ptm_calls, 0u);
+  EXPECT_EQ(stats.analytical_packets, 10'000u);
+  // Only served estimates reach the predicted-sojourn histograms.
+  const auto histograms = sink.metrics().snapshot().histograms;
+  EXPECT_EQ(histograms.at("delay.ptm.predicted_sojourn_seconds").count, 0u);
+  EXPECT_EQ(histograms.at("delay.analytical.predicted_sojourn_seconds").count,
+            10'000u);
+  provider.publish(sink);
+  EXPECT_DOUBLE_EQ(sink.metrics().counter("tiered.probes"), 1.0);
+  EXPECT_DOUBLE_EQ(sink.metrics().counter("tiered.probe_windows"),
+                   static_cast<double>(stats.probe_windows));
+}
+
+TEST(delay_provider, tiered_failed_sampled_probe_serves_the_full_series) {
+  des::delay_policy policy;
+  policy.backend = des::delay_backend::tiered;
+  policy.utilization_threshold = 1e9;
+  policy.hysteresis = 0;
+  policy.error_budget = 1e-9;
+  core::delay_provider provider{tiny_ptm(), policy};
+  provider.prepare(4);
+
+  probe pr{make_stream(10'000, 5e-6)};
+  std::vector<double> raw;
+  pr.state.raw_out = &raw;
+  const auto sojourns = provider.estimate_sojourn(pr.state, 5e-2);
+  EXPECT_EQ(provider.stats().budget_promotions, 1u);
+  EXPECT_LE(provider.stats().probe_windows,
+            core::delay_provider::probe_window_cap);
+
+  // A pinned queue gets the PTM's answer for every packet, not the sample's.
+  nn::workspace ws;
+  const auto& model = tiny_bundle().model;
+  std::vector<double> expected_raw;
+  const auto expected =
+      model.predict(core::make_windows(pr.rows, model.config().time_steps), ws,
+                    /*apply_sec=*/true, &expected_raw);
+  expect_bitwise_equal(sojourns, expected);
+  expect_bitwise_equal(raw, expected_raw);
+}
+
+TEST(delay_provider, strided_windows_are_the_full_windows_at_those_rows) {
+  probe pr{make_stream(50, 5e-6)};
+  constexpr std::size_t steps = 8;
+  constexpr std::size_t stride = 7;
+  const std::size_t window_size = steps * core::feature_count;
+  const auto full = core::make_windows(pr.rows, steps);
+  const auto strided = core::make_windows(pr.rows, steps, stride);
+  ASSERT_EQ(strided.size(), ((50 + stride - 1) / stride) * window_size);
+  for (std::size_t k = 0; k * window_size < strided.size(); ++k)
+    EXPECT_EQ(std::memcmp(strided.data() + k * window_size,
+                          full.data() + k * stride * window_size,
+                          window_size * sizeof(double)),
+              0)
+        << "window " << k;
+}
+
+TEST(delay_provider, tiered_ports_of_one_device_keep_separate_tiers) {
+  des::delay_policy policy;
+  policy.backend = des::delay_backend::tiered;
+  policy.utilization_threshold = 0.5;
+  policy.hysteresis = 0.1;
+  policy.error_budget = 0;
+  core::delay_provider provider{tiny_ptm(), policy};
+  provider.prepare(4);
+
+  probe pr{make_stream(10, 5e-6)};
+  const auto call = [&](std::size_t port, double utilization) {
+    pr.state.port = port;
+    pr.state.utilization = utilization;
+    (void)provider.estimate_sojourn(pr.state, 5e-5);
+  };
+  call(0, 0.3);   // port 0 starts analytical
+  call(1, 0.55);  // port 1 starts fresh: PTM at >= threshold
+  EXPECT_EQ(provider.stats().analytical_calls, 1u);
+  EXPECT_EQ(provider.stats().ptm_calls, 1u);
+  call(0, 0.55);  // inside the band: port 0 keeps its own analytical tier
+  call(1, 0.45);  // inside the band: port 1 keeps its own PTM tier
+  EXPECT_EQ(provider.stats().analytical_calls, 2u);
+  EXPECT_EQ(provider.stats().ptm_calls, 2u);
+  EXPECT_EQ(provider.stats().promotions, 0u);
+  EXPECT_EQ(provider.stats().demotions, 0u);
+  call(0, 0.65);  // each port crosses its own band
+  call(1, 0.35);
+  EXPECT_EQ(provider.stats().promotions, 1u);
+  EXPECT_EQ(provider.stats().demotions, 1u);
+}
+
+TEST(delay_provider, tiered_host_nics_get_one_slot_per_node_id) {
+  const topo::topology topology = topo::make_fattree16();
+  const auto hosts = topology.hosts();
+  ASSERT_GE(hosts.size(), 2u);
+  des::delay_policy policy;
+  policy.backend = des::delay_backend::tiered;
+  policy.utilization_threshold = 0.5;
+  policy.hysteresis = 0.1;
+  policy.error_budget = 0;
+  core::delay_provider provider{tiny_ptm(), policy};
+  provider.prepare(topology.node_count() + 1);  // as the engine sizes it
+
+  probe pr{make_stream(10, 5e-6)};
+  pr.state.device = hosts[0];
+  pr.state.utilization = 0.65;  // host 0 starts on the PTM
+  (void)provider.estimate_sojourn(pr.state, 5e-5);
+  pr.state.device = hosts[1];
+  pr.state.utilization = 0.45;  // inside host 0's band, but host 1 is fresh
+  (void)provider.estimate_sojourn(pr.state, 5e-5);
+  EXPECT_EQ(provider.stats().ptm_calls, 1u);
+  EXPECT_EQ(provider.stats().analytical_calls, 1u);
 }
 
 TEST(delay_provider, tiered_publish_emits_deltas_against_shared_sink) {

@@ -511,6 +511,43 @@ TEST(ptm_workspace, independent_workspaces_agree_and_reuse_arena) {
             static_cast<double>(ws.bytes()));
 }
 
+// A window's prediction does not depend on the batch it runs in: predict on
+// every stride-th make_windows window gives, bit for bit, the full-batch
+// outputs at those indices, under every GEMM backend. The tiered backend's
+// sampled error-budget probe relies on this.
+TEST(ptm_workspace, strided_window_subset_matches_full_batch_bitwise) {
+  const core::ptm_model model = tiny_trained_ptm();
+  const std::size_t steps = model.config().time_steps;
+  const std::size_t window_size = steps * core::feature_count;
+  util::rng rng{34};
+  std::vector<double> rows(301 * core::feature_count);
+  for (auto& v : rows) v = rng.uniform(0.0, 1.0);
+  const auto windows = core::make_windows(rows, steps);
+  const std::size_t n = windows.size() / window_size;
+  constexpr std::size_t stride = 7;
+  std::vector<double> subset;
+  for (std::size_t i = 0; i < n; i += stride)
+    subset.insert(subset.end(),
+                  windows.begin() + static_cast<std::ptrdiff_t>(i * window_size),
+                  windows.begin() + static_cast<std::ptrdiff_t>((i + 1) * window_size));
+
+  std::vector<backend> backends{backend::naive};
+  for (const backend be : compiled_backends()) backends.push_back(be);
+  for (const backend be : backends) {
+    SCOPED_TRACE(nn::kernels::to_string(be));
+    nn::kernels::force_backend(be);
+    nn::workspace ws;
+    const auto full = model.predict(windows, ws);
+    const auto sampled = model.predict(subset, ws);
+    ASSERT_EQ(full.size(), n);
+    ASSERT_EQ(sampled.size(), (n + stride - 1) / stride);
+    for (std::size_t k = 0; k < sampled.size(); ++k)
+      EXPECT_EQ(std::memcmp(&sampled[k], &full[k * stride], sizeof(double)), 0)
+          << "window " << k * stride;
+  }
+  nn::kernels::reset_backend();
+}
+
 // ---------------------------------------------------------------------------
 // PTM front end: the fused pass, which scales each distinct feature row once,
 // is bit-identical to the per-element formula it replaced (copy, log1p,
